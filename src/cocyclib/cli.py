@@ -40,6 +40,7 @@ from .regularity import (
     smallest_passing_params,
 )
 from .sft import (
+    DEFAULT_WORD_BUDGET,
     BudgetExceededError,
     MetricParams,
     TransitionMatrix,
@@ -60,7 +61,6 @@ from .zimmer import ZimmerDescriptor, membership, random_element
 EXPERIMENT_KINDS = ("exponents", "holonomy", "blocks", "shadow", "reconstruct",
                     "verify-zimmer", "example-unipotent")
 
-DEFAULT_WORD_BUDGET = 2_000_000
 DEFAULT_SAMPLE_BUDGET = 10_000
 
 
@@ -156,6 +156,11 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
+        # strict JSON has no Infinity or NaN: non-finite values become strings
+        if math.isnan(obj):
+            return "nan"
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
@@ -167,8 +172,6 @@ def _jsonable(obj: Any) -> Any:
         return [_jsonable(v) for v in obj]
     if obj is None or isinstance(obj, (bool, str)):
         return obj
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
     return str(obj)
 
 
@@ -480,7 +483,8 @@ def run(config: dict) -> dict:
 def emit(report: dict, fmt: str) -> str:
     """Serialize a report; identical reports give byte-identical output."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(_jsonable(report), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     if fmt == "csv":
         out = io.StringIO()
         tables = report.get("tables", {})

@@ -27,6 +27,58 @@ MAX_CONDITION = 1e14
 
 
 @dataclass(frozen=True, eq=False)
+class OrbitKernel:
+    """Indexed, stacked form of a generator table for batched orbit products.
+
+    ``index`` maps each window to its row of ``stack``, and ``inverse`` holds
+    the entrywise matrix inverses of ``stack``.  For whole symbol arrays a
+    window w_0..w_{2k} is read by its base-q code sum_i w_i q^(2k-i), which
+    ``row_of_code`` maps to the same row (-1 where the table has no entry);
+    the dict stays the cheaper lookup for a few windows at a time.
+    """
+
+    n_symbols: int
+    width: int
+    index: dict[Word, int]
+    row_of_code: np.ndarray
+    stack: np.ndarray
+    inverse: np.ndarray
+
+    def rows(self, symbols) -> np.ndarray:
+        """Table rows of the consecutive windows of each symbol sequence.
+
+        ``symbols`` has shape (..., M); the result has shape (..., M - 2k),
+        entry t being the row of the window symbols[..., t : t + 2k + 1].
+        """
+        sym = np.asarray(symbols, dtype=np.int64)
+        if sym.size and (sym.min() < 0 or sym.max() >= self.n_symbols):
+            raise KeyError(f"symbol outside the alphabet of {self.n_symbols}")
+        m = sym.shape[-1] - self.width + 1
+        code = sym[..., :m]
+        for i in range(1, self.width):
+            code = code * self.n_symbols + sym[..., i:i + m]
+        rows = self.row_of_code[code]
+        if np.any(rows < 0):
+            raise KeyError("window missing from the generator table")
+        return rows
+
+    @staticmethod
+    def fold(mats: np.ndarray, rows: np.ndarray,
+             start: np.ndarray | None = None) -> np.ndarray:
+        """The B products mats[rows[b, n-1]] ... mats[rows[b, 0]] @ start.
+
+        ``start`` defaults to the identity, so each product is formed with the
+        same factors in the same order as :func:`iterate`.
+        """
+        if start is None:
+            start = np.tile(np.eye(mats.shape[-1]), (rows.shape[0], 1, 1))
+        prod = start
+        for t in range(rows.shape[1]):
+            prod = mats[rows[:, t]] @ prod
+        return prod
+
+
+@dataclass(frozen=True, eq=False)
 class LocallyConstantCocycle:
     """Generator table over admissible windows x_{-k}..x_{k}.
 
@@ -88,6 +140,23 @@ class LocallyConstantCocycle:
             eta = max(eta, math.log(s[0]), -math.log(s[-1]))
         return eta
 
+    @cached_property
+    def kernel(self) -> OrbitKernel:
+        """Window index, stacked table and stacked inverses (built once)."""
+        q = self.q.size
+        width = 2 * self.window_radius + 1
+        windows = [w for w in self.table
+                   if len(w) == width and all(0 <= s < q for s in w)]
+        row_of_code = np.full(q ** width, -1, dtype=np.int64)
+        for row, w in enumerate(windows):
+            code = 0
+            for s in w:
+                code = code * q + s
+            row_of_code[code] = row
+        stack = np.array([self.table[w] for w in windows], dtype=float)
+        return OrbitKernel(q, width, {w: row for row, w in enumerate(windows)},
+                           row_of_code, stack, np.linalg.inv(stack))
+
     def window_of(self, x: SymbolicPoint) -> Word:
         k = self.window_radius
         return x.window(-k, k)
@@ -108,8 +177,12 @@ def iterate(a: LocallyConstantCocycle, x: SymbolicPoint, n: int) -> np.ndarray:
             for j in range(n):
                 result = evaluate(a, x.shifted(j)) @ result
         elif n < 0:
-            for j in range(1, -n + 1):
-                result = np.linalg.inv(evaluate(a, x.shifted(-j))) @ result
+            kern = a.kernel
+            k = a.window_radius
+            sym = x.window(n - k, k - 1)
+            # window t of sym is centred at n + t; the factor at -1 comes first
+            for t in range(-n - 1, -1, -1):
+                result = kern.inverse[kern.index[sym[t:t + kern.width]]] @ result
     if not np.all(np.isfinite(result)):
         raise OverflowError(
             f"orbit product at n={n} exceeded floating point range"
@@ -175,7 +248,3 @@ def qc_distortion(a: LocallyConstantCocycle, x: SymbolicPoint, n: int) -> float:
     s = np.linalg.svd(m, compute_uv=False)
     return float(s[0] / s[-1])
 
-
-def distortion_of(m: np.ndarray) -> float:
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[0] / s[-1])

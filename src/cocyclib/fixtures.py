@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import LocallyConstantCocycle, coboundary_conjugate
-from .measure import MarkovMeasure, golden_mean_markov, uniform_bernoulli
 from .sft import TransitionMatrix, Word, full_shift, golden_mean_shift
 from .zimmer import ZimmerDescriptor, haar_orthogonal, random_element
 
@@ -254,10 +253,3 @@ def graded_rotation_cocycle(q: TransitionMatrix, window: int = 6,
 
     return LocallyConstantCocycle.from_function(q, window, build)
 
-
-def standard_system(name: str) -> tuple[TransitionMatrix, MarkovMeasure]:
-    if name == "full-2":
-        return full_shift(2), uniform_bernoulli(2)
-    if name == "golden-mean":
-        return golden_mean_shift(), golden_mean_markov()
-    raise ValueError(f"unknown system {name!r}")

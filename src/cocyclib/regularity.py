@@ -15,28 +15,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycle import (
-    LocallyConstantCocycle,
-    backward_product,
-    distortion_of,
-    inverse_cocycle,
-    iterate,
-)
+from .cocycle import LocallyConstantCocycle, iterate
 from .holonomy import composed_holonomy
 from .linalg import Flag, Subspace, largest_principal_angle
-from .measure import MarkovMeasure, cylinder_measure, sample_point
+from .measure import MarkovMeasure, sample_point
 from .sft import (
+    DEFAULT_WORD_BUDGET,
     BudgetExceededError,
     PeriodicPoint,
     SymbolicPoint,
-    admissible_words,
 )
 
 #: Absolute slack applied to the log-comparison S_s <= s N theta, so that
 #: boundary cases (costs exactly equal to the budget) decide deterministically.
 MEMBERSHIP_LOG_TOL = 1e-9
 
-DEFAULT_WORD_BUDGET = 2_000_000
+#: Largest batch of word prefixes the exact cylinder sum extends at once;
+#: bigger levels of the word tree are walked one slice at a time, so memory
+#: stays flat however many words the budget admits.
+_SUBTREE_PREFIXES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -84,17 +81,65 @@ def periodic_exponents(a: LocallyConstantCocycle, p: PeriodicPoint) -> ExponentR
     return ExponentReport(lam_plus, lam_minus, "exact-periodic", q, eps)
 
 
+def _check_support(a: LocallyConstantCocycle, mu: MarkovMeasure) -> None:
+    if mu.support != a.q:
+        raise ValueError("measure support does not match the cocycle's "
+                         "transition matrix")
+
+
+def _word_products(a: LocallyConstantCocycle, mu: MarkovMeasure, length: int):
+    """Yield (cylinder weights, orbit products) in batches over the admissible
+    words of the given length, in lexicographic order.
+
+    Words grow one symbol at a time, so every prefix weight and prefix
+    product is computed once and shared by all its extensions.  The weight
+    multiplies pi and the transition probabilities left to right, and the
+    product starts from the identity and left-multiplies the table entry of
+    each complete window, as the per-word computation does.
+    """
+    kern = a.kernel
+    allowed = a.q.as_array.astype(bool)
+    pi = mu.stationary_distribution
+    p = mu.transition_probabilities
+
+    def walk(m, tail, weight, prod):
+        # tail holds the last (at most 2k + 1) symbols of each prefix
+        if m == length:
+            yield weight, prod
+            return
+        if m == 0:
+            sym = np.arange(a.q.size)
+            parent, factor = np.zeros_like(sym), pi
+        else:
+            parent, sym = np.nonzero(allowed[tail[:, -1]])
+            factor = p[tail[parent, -1], sym]
+        weight = weight[parent] * factor
+        tail = np.column_stack([tail[parent, int(tail.shape[1] == kern.width):], sym])
+        prod = prod[parent]
+        if tail.shape[1] == kern.width:
+            prod = kern.fold(kern.stack, kern.rows(tail), prod)
+        for lo in range(0, len(parent), _SUBTREE_PREFIXES):
+            hi = lo + _SUBTREE_PREFIXES
+            yield from walk(m + 1, tail[lo:hi], weight[lo:hi], prod[lo:hi])
+
+    yield from walk(0, np.empty((1, 0), dtype=np.int64), np.ones(1),
+                    np.eye(a.dimension)[None])
+
+
 def finite_scale_exponent(a: LocallyConstantCocycle, mu: MarkovMeasure, n: int,
                           budget: int = DEFAULT_WORD_BUDGET) -> float:
     """Exact value of a_n = (1/n) * sum over admissible words of
     mu(cylinder) * log||A^n||.
 
     The orbit product A^n depends on n + 2k coordinates, so the sum runs
-    over admissible words of that length.  Raises BudgetExceededError with a
-    Monte Carlo fallback instruction when the enumeration is too large.
+    over admissible words of that length, added in lexicographic order.
+    Raises BudgetExceededError with a Monte Carlo fallback instruction when
+    the enumeration is too large, and ValueError when the support of mu is
+    not the cocycle's transition matrix.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_support(a, mu)
     k = a.window_radius
     length = n + 2 * k
     if mu.n_symbols ** length > budget:
@@ -103,14 +148,12 @@ def finite_scale_exponent(a: LocallyConstantCocycle, mu: MarkovMeasure, n: int,
             f"fall back to monte_carlo_exponent"
         )
     total = 0.0
-    for w in admissible_words(a.q, length, budget):
-        weight = cylinder_measure(mu, -k, w)
-        if weight == 0.0:
-            continue
-        prod = np.eye(a.dimension)
-        for t in range(n):
-            prod = a.table[w[t: t + 2 * k + 1]] @ prod
-        total += weight * math.log(np.linalg.norm(prod, 2))
+    for weights, prods in _word_products(a, mu, length):
+        norms = np.linalg.svd(prods, compute_uv=False).max(axis=-1)
+        for weight, norm in zip(weights.tolist(), norms.tolist()):
+            if weight == 0.0:
+                continue
+            total += weight * math.log(norm)
     return total / n
 
 
@@ -118,20 +161,20 @@ def monte_carlo_exponent(a: LocallyConstantCocycle, mu: MarkovMeasure, n: int,
                          trials: int, rng: np.random.Generator) -> ExponentReport:
     """Sample-mean estimate of both extremal exponents with standard errors.
 
-    The lambda_- leg assembles the backward product A^{-n} from the
-    table-inverted generator, so both estimators are unbiased for the
-    n-scale integrals by shift invariance of the measure.
+    The lambda_- leg uses the backward product A^{-n}, so both estimators
+    are unbiased for the n-scale integrals by shift invariance of the
+    measure.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_support(a, mu)
     k = a.window_radius
-    inv = inverse_cocycle(a)
     plus = np.empty(trials)
     minus = np.empty(trials)
     for t in range(trials):
         x = sample_point(mu, rng, 2 * (n + k), start=-(n + k))
         plus[t] = math.log(np.linalg.norm(iterate(a, x, n), 2)) / n
-        minus[t] = math.log(np.linalg.norm(backward_product(inv, x, n), 2)) / n
+        minus[t] = math.log(np.linalg.norm(iterate(a, x, -n), 2)) / n
     lam_plus = float(plus.mean())
     lam_minus = float(-minus.mean())
     if trials > 1:
@@ -143,14 +186,33 @@ def monte_carlo_exponent(a: LocallyConstantCocycle, mu: MarkovMeasure, n: int,
     return ExponentReport(lam_plus, lam_minus, "monte-carlo", n, err)
 
 
+def _log_distortions(prods: np.ndarray) -> list[float]:
+    """log(||M|| ||M^-1||) for each matrix M of a stack."""
+    s = np.linalg.svd(prods, compute_uv=False)
+    return [math.log(r) for r in (s[:, 0] / s[:, -1]).tolist()]
+
+
 def _block_costs(a: LocallyConstantCocycle, x: SymbolicPoint, n_steps: int,
                  count: int, direction: int) -> list[float]:
     """log distortion of the length-N block products along the orbit."""
-    costs = []
-    for j in range(count):
-        base = x.shifted(direction * j * n_steps)
-        costs.append(math.log(distortion_of(iterate(a, base, direction * n_steps))))
-    return costs
+    k = a.window_radius
+    kern = a.kernel
+    span = count * n_steps
+    if direction > 0:
+        # windows centred at 0..span-1, block j covering jN..jN+N-1
+        rows = kern.rows(x.window(-k, span - 1 + k)).reshape(count, n_steps)
+        mats = kern.stack
+    else:
+        # windows centred at -1, -2, ..., -span, block j starting at -jN-1
+        rows = kern.rows(x.window(-span - k, k - 1))[::-1].reshape(count, n_steps)
+        mats = kern.inverse
+    with np.errstate(over="ignore", invalid="ignore"):
+        prods = kern.fold(mats, rows)
+    if not np.all(np.isfinite(prods)):
+        raise OverflowError(
+            f"orbit product at n={direction * n_steps} exceeded floating point range"
+        )
+    return _log_distortions(prods)
 
 
 def _prefix_condition(costs: Sequence[float], budget_per_block: float) -> bool:
@@ -217,16 +279,24 @@ def distortion_growth_slope(a: LocallyConstantCocycle, points: Sequence[Symbolic
     Both time directions are folded into |n|; returns the fitted slope and
     the per-|n| mean values.
     """
+    k = a.window_radius
+    kern = a.kernel
+    # The factors are the one-step products A(y) @ Id that iterate(a, y, 1)
+    # returns, and their inverses; A @ Id does not keep the signed zeros of A.
+    steps = kern.fold(kern.stack, np.arange(len(kern.stack))[:, None])
+    inv_steps = np.linalg.inv(steps)
+    # windows centred at -n_max..n_max-1: column n_max + c is the centre c
+    symbols = np.array([x.window(-n_max - k, n_max - 1 + k) for x in points],
+                       dtype=np.int64).reshape(len(points), 2 * (n_max + k))
+    rows = kern.rows(symbols)
     sums = np.zeros(n_max)
-    counts = np.zeros(n_max)
-    for x in points:
-        fwd = np.eye(a.dimension)
-        bwd = np.eye(a.dimension)
-        for n in range(1, n_max + 1):
-            fwd = iterate(a, x.shifted(n - 1), 1) @ fwd
-            bwd = np.linalg.inv(iterate(a, x.shifted(-n), 1)) @ bwd
-            sums[n - 1] += math.log(distortion_of(fwd)) + math.log(distortion_of(bwd))
-            counts[n - 1] += 2
+    fwd = bwd = None
+    for n in range(1, n_max + 1):
+        fwd = kern.fold(steps, rows[:, n_max + n - 1, None], fwd)
+        bwd = kern.fold(inv_steps, rows[:, n_max - n, None], bwd)
+        for f, b in zip(_log_distortions(fwd), _log_distortions(bwd)):
+            sums[n - 1] += f + b
+    counts = np.full(n_max, 2.0 * len(points))
     means = sums / counts
     ns = np.arange(1, n_max + 1, dtype=float)
     slope = float(np.polyfit(ns, means, 1)[0])

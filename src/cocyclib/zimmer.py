@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -160,6 +159,3 @@ def assemble_framing(v1_frame: np.ndarray, quotient_frame: np.ndarray,
                              "complement is not transverse")
     return frame
 
-
-def block_diagonal_descriptor(dims: Sequence[int]) -> ZimmerDescriptor:
-    return ZimmerDescriptor(tuple(int(d) for d in dims), 0.0)

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import pathlib
 
 import pytest
@@ -62,6 +63,15 @@ def test_csv_one_row_per_m():
 def test_unsupported_format():
     with pytest.raises(ValueError, match="format"):
         emit({"tables": {}}, "yaml")
+
+
+def test_json_is_strict_for_non_finite_values():
+    def reject(name):
+        raise ValueError(f"bare {name} in JSON output")
+
+    text = emit({"a": math.inf, "b": [-math.inf, math.nan], "c": 1.5}, "json")
+    assert json.loads(text, parse_constant=reject) == \
+        {"a": "inf", "b": ["-inf", "nan"], "c": 1.5}
 
 
 def test_seed_is_mandatory():

@@ -1,0 +1,190 @@
+"""Batched orbit-product paths against the scalar loops they replace.
+
+The batched code multiplies the same factors in the same order, takes logs
+with ``math.log`` and adds terms in the same sequence as the per-word,
+per-point and per-block loops below, so every comparison is exact equality
+(signed zeros included), not a tolerance.
+"""
+
+import itertools
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cocyclib import regularity
+from cocyclib.cocycle import LocallyConstantCocycle, evaluate, iterate
+from cocyclib.fixtures import (
+    mixed_two_block_cocycle,
+    u0_coboundary_fixture,
+    unipotent_example,
+    window2_cocycle,
+)
+from cocyclib.measure import MarkovMeasure, cylinder_measure, sample_point
+from cocyclib.regularity import (
+    _block_costs,
+    distortion_growth_slope,
+    finite_scale_exponent,
+)
+from cocyclib.sft import TransitionMatrix, admissible_words, enumerate_periodic
+
+# ---------------------------------------------------------------------------
+# scalar references
+
+
+def reference_product(a, x, n):
+    """A^n(x) one factor at a time, inverting each factor for n < 0."""
+    result = np.eye(a.dimension)
+    for j in range(n):
+        result = evaluate(a, x.shifted(j)) @ result
+    for j in range(1, -n + 1):
+        result = np.linalg.inv(evaluate(a, x.shifted(-j))) @ result
+    return result
+
+
+def distortion_of(m):
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s[0] / s[-1])
+
+
+def reference_finite_scale(a, mu, n):
+    k = a.window_radius
+    total = 0.0
+    for w in admissible_words(a.q, n + 2 * k):
+        weight = cylinder_measure(mu, -k, w)
+        if weight == 0.0:
+            continue
+        prod = np.eye(a.dimension)
+        for t in range(n):
+            prod = a.table[w[t: t + 2 * k + 1]] @ prod
+        total += weight * math.log(np.linalg.norm(prod, 2))
+    return total / n
+
+
+def reference_block_costs(a, x, n_steps, count, direction):
+    return [math.log(distortion_of(reference_product(
+        a, x.shifted(direction * j * n_steps), direction * n_steps)))
+        for j in range(count)]
+
+
+def reference_slope(a, points, n_max):
+    eye = np.eye(a.dimension)
+    sums = np.zeros(n_max)
+    counts = np.zeros(n_max)
+    for x in points:
+        fwd = eye
+        bwd = eye
+        for n in range(1, n_max + 1):
+            fwd = (evaluate(a, x.shifted(n - 1)) @ eye) @ fwd
+            bwd = np.linalg.inv(evaluate(a, x.shifted(-n)) @ eye) @ bwd
+            sums[n - 1] += math.log(distortion_of(fwd)) + math.log(distortion_of(bwd))
+            counts[n - 1] += 2
+    means = sums / counts
+    ns = np.arange(1, n_max + 1, dtype=float)
+    return float(np.polyfit(ns, means, 1)[0]), means
+
+
+# ---------------------------------------------------------------------------
+# random systems
+
+
+def random_system(n_symbols, radius, dim, seed):
+    """Irreducible SFT, full-support Markov measure and a random window-k
+    cocycle; some entries are signed zeros, which A @ Id does not keep."""
+    rng = np.random.default_rng(seed)
+    while True:
+        try:
+            q = TransitionMatrix.from_rows((rng.random((n_symbols, n_symbols)) < 0.6)
+                                           .astype(int).tolist())
+            break
+        except ValueError:
+            continue
+    p = q.as_array * rng.uniform(0.2, 1.0, (n_symbols, n_symbols))
+    mu = MarkovMeasure.from_matrix(p / p.sum(axis=1, keepdims=True))
+
+    def value(w):
+        m = rng.normal(size=(dim, dim)) + 2.0 * np.eye(dim)
+        if dim > 1 and rng.random() < 0.5:
+            m[0, 1] = -0.0
+        return m
+
+    return mu, LocallyConstantCocycle.from_function(q, radius, value), rng
+
+
+systems = dict(n_symbols=st.integers(1, 3), radius=st.integers(0, 2),
+               dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), chunk=st.sampled_from([1, 2, 5, None]), **systems)
+def test_finite_scale_exponent_equals_per_word_sum(n, chunk, n_symbols, radius, dim,
+                                                   seed):
+    mu, a, _ = random_system(n_symbols, radius, dim, seed)
+    # keep the scalar reference small: at most 3^7 words
+    while n > 1 and n_symbols ** (n + 2 * radius) > 3 ** 7:
+        n -= 1
+    expected = reference_finite_scale(a, mu, n)
+    # small subtree sizes force the sliced walk through the word tree
+    size = regularity._SUBTREE_PREFIXES if chunk is None else chunk
+    with mock.patch.object(regularity, "_SUBTREE_PREFIXES", size):
+        assert finite_scale_exponent(a, mu, n) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), **systems)
+def test_backward_iterate_equals_inverse_factor_loop(n, n_symbols, radius, dim, seed):
+    mu, a, rng = random_system(n_symbols, radius, dim, seed)
+    x = sample_point(mu, rng, int(rng.integers(1, 12)), start=int(rng.integers(-8, 3)))
+    assert same_bits(iterate(a, x, -n), reference_product(a, x, -n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_steps=st.integers(1, 6), count=st.integers(1, 5), **systems)
+def test_block_costs_equal_per_block_loop(n_steps, count, n_symbols, radius, dim, seed):
+    mu, a, rng = random_system(n_symbols, radius, dim, seed)
+    x = sample_point(mu, rng, int(rng.integers(1, 12)))
+    for direction in (+1, -1):
+        got = _block_costs(a, x, n_steps, count, direction)
+        assert got == reference_block_costs(a, x, n_steps, count, direction)
+        assert all(type(c) is float for c in got)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_max=st.integers(2, 6), n_points=st.integers(1, 6), **systems)
+def test_distortion_slope_equals_per_point_loop(n_max, n_points, n_symbols, radius, dim,
+                                                seed):
+    mu, a, rng = random_system(n_symbols, radius, dim, seed)
+    points = [sample_point(mu, rng, int(rng.integers(1, 14))) for _ in range(n_points)]
+    slope, means = distortion_growth_slope(a, points, n_max)
+    ref_slope, ref_means = reference_slope(a, points, n_max)
+    assert slope == ref_slope
+    assert same_bits(means, ref_means)
+
+
+def test_fixture_cocycles_equal_scalar_loops(q2, golden, mu2, mu_golden, rng):
+    # the cocycles the acceptance suite and the benchmark run, at their own sizes
+    fix = u0_coboundary_fixture(seed=3)
+    cases = [(mixed_two_block_cocycle(q2), mu2), (window2_cocycle(golden), mu_golden),
+             (unipotent_example(q2).b, mu2), (fix.result, mu2)]
+    for a, mu in cases:
+        assert finite_scale_exponent(a, mu, 6) == reference_finite_scale(a, mu, 6)
+        for period in range(1, 6):
+            for p in enumerate_periodic(a.q, period):
+                for n_steps, direction in itertools.product((1, 2, 4), (+1, -1)):
+                    assert _block_costs(a, p.as_point(), n_steps, period, direction) == \
+                        reference_block_costs(a, p.as_point(), n_steps, period, direction)
+        x = sample_point(mu, rng, 30)
+        for n in range(1, 21):
+            assert same_bits(iterate(a, x, -n), reference_product(a, x, -n))
+    points = [sample_point(mu2, rng, 90) for _ in range(60)]
+    slope, means = distortion_growth_slope(fix.result, points, 40)
+    ref_slope, ref_means = reference_slope(fix.result, points, 40)
+    assert slope == ref_slope
+    assert same_bits(means, ref_means)

@@ -73,6 +73,19 @@ def test_finite_scale_budget_error(q2, mu2):
         finite_scale_exponent(a, mu2, 10, budget=100)
 
 
+def test_finite_scale_rejects_mismatched_support(golden, mu2):
+    # mu2 charges the word 11, which the golden-mean shift forbids
+    a = LocallyConstantCocycle.constant(golden, np.eye(2))
+    with pytest.raises(ValueError, match="support"):
+        finite_scale_exponent(a, mu2, 3)
+
+
+def test_monte_carlo_rejects_mismatched_support(q2, mu_golden):
+    a = LocallyConstantCocycle.constant(q2, np.eye(2))
+    with pytest.raises(ValueError, match="support"):
+        monte_carlo_exponent(a, mu_golden, 3, 10, np.random.default_rng(0))
+
+
 def test_monte_carlo_matches_exact_sum(q2, mu2):
     a = mixed_hyperbolic_cocycle(q2)
     exact = finite_scale_exponent(a, mu2, 2)
