@@ -6,24 +6,16 @@ import sys
 
 from cocyclib.cli import emit, load_config, run
 
-CONFIGS = {
-    "example-unipotent": "example_unipotent.json",
-    "exponents": "exponents_mixed.json",
-    "holonomy": "holonomy_two_block.json",
-    "blocks": "blocks_orthogonal.json",
-    "shadow": "shadow_mixed.json",
-    "reconstruct": "reconstruct_two_block.json",
-    "verify-zimmer": "verify_zimmer_two_block.json",
-}
-
 
 def main() -> int:
     here = pathlib.Path(__file__).resolve().parent
     out_dir = here / "reports"
     out_dir.mkdir(exist_ok=True)
+    configs = [load_config(str(p)) for p in (here / "configs").glob("*.json")]
     all_ok = True
-    for kind, fname in sorted(CONFIGS.items()):
-        report = run(load_config(str(here / "configs" / fname)))
+    for config in sorted(configs, key=lambda c: c["experiment"]["kind"]):
+        kind = config["experiment"]["kind"]
+        report = run(config)
         (out_dir / f"{kind}.json").write_text(emit(report, "json"))
         status = "ok" if report["passed"] else "FAILED"
         checks = ", ".join(f"{c['name']}={'y' if c['passed'] else 'N'}"

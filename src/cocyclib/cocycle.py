@@ -167,22 +167,31 @@ def evaluate(a: LocallyConstantCocycle, x: SymbolicPoint) -> np.ndarray:
     return a.table[a.window_of(x)]
 
 
+def _orbit_product(a: LocallyConstantCocycle, mats: np.ndarray,
+                   x: SymbolicPoint, n: int) -> np.ndarray:
+    """Rows of ``mats`` (stacked like ``a.kernel.stack``) for the windows
+    along the orbit of x, left-multiplied onto the identity: the factors at
+    0, ..., n-1 for n >= 0 and at -1, ..., n, in that order, for n < 0."""
+    kern = a.kernel
+    k = a.window_radius
+    if n >= 0:
+        sym = x.window(-k, n - 1 + k)  # window t is centred at t
+        steps = range(n)
+    else:
+        sym = x.window(n - k, k - 1)  # window t is centred at n + t
+        steps = range(-n - 1, -1, -1)
+    result = np.eye(a.dimension)
+    for t in steps:
+        result = mats[kern.index[sym[t:t + kern.width]]] @ result
+    return result
+
+
 def iterate(a: LocallyConstantCocycle, x: SymbolicPoint, n: int) -> np.ndarray:
     """Orbit product A^n(x): forward product for n > 0, identity at 0, and
     the inverse-factor backward product for n < 0."""
-    d = a.dimension
-    result = np.eye(d)
+    kern = a.kernel
     with np.errstate(over="ignore", invalid="ignore"):
-        if n > 0:
-            for j in range(n):
-                result = evaluate(a, x.shifted(j)) @ result
-        elif n < 0:
-            kern = a.kernel
-            k = a.window_radius
-            sym = x.window(n - k, k - 1)
-            # window t of sym is centred at n + t; the factor at -1 comes first
-            for t in range(-n - 1, -1, -1):
-                result = kern.inverse[kern.index[sym[t:t + kern.width]]] @ result
+        result = _orbit_product(a, kern.stack if n >= 0 else kern.inverse, x, n)
     if not np.all(np.isfinite(result)):
         raise OverflowError(
             f"orbit product at n={n} exceeded floating point range"
@@ -207,10 +216,7 @@ def backward_product(inv: LocallyConstantCocycle, x: SymbolicPoint,
     inv(shift^-n x) ... inv(shift^-1 x), equal to iterate(a, x, -n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    result = np.eye(inv.dimension)
-    for j in range(1, n + 1):
-        result = evaluate(inv, x.shifted(-j)) @ result
-    return result
+    return _orbit_product(inv, inv.kernel.stack, x, -n)
 
 
 def coboundary_conjugate(a: LocallyConstantCocycle,

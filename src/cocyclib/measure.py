@@ -149,14 +149,14 @@ def sample_stable_partner(mu: MarkovMeasure, x: SymbolicPoint,
     uniformly among admissible ones.
     """
     q = mu.support
-    kept = [x[n] for n in range(-keep_depth, 0)]
+    kept = x.window(-keep_depth, -1)
     last = kept[0] if kept else x[0]
     fresh: list[int] = []
     for _ in range(past_length):
         preds = [s for s in range(q.size) if q.allows(s, last)]
         last = int(rng.choice(preds))
         fresh.insert(0, last)
-    return splice_past(q, x, tuple(fresh) + tuple(kept))
+    return splice_past(q, x, tuple(fresh) + kept)
 
 
 def sample_unstable_partner(mu: MarkovMeasure, x: SymbolicPoint,
@@ -165,10 +165,10 @@ def sample_unstable_partner(mu: MarkovMeasure, x: SymbolicPoint,
     """Random point on the local unstable set of x (same coordinates n <= 0)."""
     q = mu.support
     p = mu.transition_probabilities
-    kept = [x[n] for n in range(1, keep_depth + 1)]
+    kept = x.window(1, keep_depth)
     last = kept[-1] if kept else x[0]
     fresh: list[int] = []
     for _ in range(future_length):
         last = int(rng.choice(mu.n_symbols, p=p[last]))
         fresh.append(last)
-    return splice_future(q, x, tuple(kept) + tuple(fresh))
+    return splice_future(q, x, kept + tuple(fresh))

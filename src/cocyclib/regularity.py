@@ -224,6 +224,17 @@ def _prefix_condition(costs: Sequence[float], budget_per_block: float) -> bool:
     return True
 
 
+def _block_check(a: LocallyConstantCocycle, x: SymbolicPoint,
+                 params: BlockParams, count: int) -> bool:
+    """Prefix condition on the first `count` forward, then backward, block costs."""
+    budget = params.n_steps * params.theta
+    forward = _block_costs(a, x, params.n_steps, count, +1)
+    if not _prefix_condition(forward, budget):
+        return False
+    backward = _block_costs(a, x, params.n_steps, count, -1)
+    return _prefix_condition(backward, budget)
+
+
 def block_membership_periodic(a: LocallyConstantCocycle, p: PeriodicPoint,
                               params: BlockParams) -> bool:
     """Exact all-s regularity decision for a periodic point.
@@ -234,13 +245,7 @@ def block_membership_periodic(a: LocallyConstantCocycle, p: PeriodicPoint,
     are controlled by the worst prefix.
     """
     q_prime = math.lcm(p.period, params.n_steps) // params.n_steps
-    x = p.as_point()
-    budget = params.n_steps * params.theta
-    forward = _block_costs(a, x, params.n_steps, q_prime, +1)
-    if not _prefix_condition(forward, budget):
-        return False
-    backward = _block_costs(a, x, params.n_steps, q_prime, -1)
-    return _prefix_condition(backward, budget)
+    return _block_check(a, p.as_point(), params, q_prime)
 
 
 def block_membership_finite(a: LocallyConstantCocycle, x: SymbolicPoint,
@@ -252,12 +257,7 @@ def block_membership_finite(a: LocallyConstantCocycle, x: SymbolicPoint,
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    budget = params.n_steps * params.theta
-    forward = _block_costs(a, x, params.n_steps, s_max, +1)
-    if not _prefix_condition(forward, budget):
-        return False
-    backward = _block_costs(a, x, params.n_steps, s_max, -1)
-    return _prefix_condition(backward, budget)
+    return _block_check(a, x, params, s_max)
 
 
 def smallest_passing_params(a: LocallyConstantCocycle, x: SymbolicPoint,

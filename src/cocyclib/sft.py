@@ -310,11 +310,10 @@ def agreement_radius(x: SymbolicPoint, y: SymbolicPoint) -> int | float:
     Decidable for eventually periodic points: beyond a horizon where both
     tails are aligned-periodic, windowed agreement implies global equality.
     """
-    if x[0] != y[0]:
-        return 0
-    horizon = _comparison_horizon(x, y)
-    for n in range(1, horizon + 1):
-        if x[n] != y[n] or x[-n] != y[-n]:
+    h = _comparison_horizon(x, y)
+    xs, ys = x.window(-h, h), y.window(-h, h)
+    for n in range(h + 1):
+        if xs[h + n] != ys[h + n] or xs[h - n] != ys[h - n]:
             return n
     return INFINITE
 
@@ -326,13 +325,13 @@ def same_sequence(x: SymbolicPoint, y: SymbolicPoint) -> bool:
 def same_future(x: SymbolicPoint, y: SymbolicPoint) -> bool:
     """True iff x_n = y_n for all n >= 0 (same local stable set)."""
     horizon = _comparison_horizon(x, y)
-    return all(x[n] == y[n] for n in range(0, horizon + 1))
+    return x.window(0, horizon) == y.window(0, horizon)
 
 
 def same_past(x: SymbolicPoint, y: SymbolicPoint) -> bool:
     """True iff x_n = y_n for all n <= 0 (same local unstable set)."""
     horizon = _comparison_horizon(x, y)
-    return all(x[-n] == y[-n] for n in range(0, horizon + 1))
+    return x.window(-horizon, 0) == y.window(-horizon, 0)
 
 
 def distance(x: SymbolicPoint, y: SymbolicPoint,
@@ -354,14 +353,11 @@ def bracket(x: SymbolicPoint, y: SymbolicPoint) -> SymbolicPoint:
         raise ValueError(
             f"bracket undefined: zero coordinates differ ({x[0]} vs {y[0]})"
         )
-    lx = len(x.left_period)
     n_left = min(0, x.left_tail_end)
-    left = tuple(x[n] for n in range(n_left - lx, n_left))
-    ry = len(y.right_period)
+    left = x.window(n_left - len(x.left_period), n_left - 1)
     n_right = max(0, y.right_tail_start)
-    right = tuple(y[n] for n in range(n_right, n_right + ry))
-    core = tuple(x[n] for n in range(n_left, 0)) + tuple(
-        y[n] for n in range(0, n_right))
+    right = y.window(n_right, n_right + len(y.right_period) - 1)
+    core = x.window(n_left, -1) + y.window(0, n_right - 1)
     return SymbolicPoint(left, core, right, -n_left)
 
 
@@ -465,8 +461,8 @@ def splice_past(q: TransitionMatrix, x: SymbolicPoint,
     if not is_admissible(w, q) or not q.allows(w[-1], x[0]):
         raise ValueError("past word does not connect admissibly into x")
     t = max(0, x.right_tail_start)
-    future = tuple(x[n] for n in range(0, t))
-    right = tuple(x[n] for n in range(t, t + len(x.right_period)))
+    future = x.window(0, t - 1)
+    right = x.window(t, t + len(x.right_period) - 1)
     left = shortest_return_cycle(q, w[0])
     z = SymbolicPoint(left, w + future, right, len(w))
     validate_point(z, q)
@@ -483,9 +479,8 @@ def splice_future(q: TransitionMatrix, x: SymbolicPoint,
     if not is_admissible(w, q) or not q.allows(x[0], w[0]):
         raise ValueError("future word does not connect admissibly out of x")
     t = max(0, -x.left_tail_end)
-    past = tuple(x[n] for n in range(-t, 1))
-    lx = len(x.left_period)
-    left = tuple(x[n] for n in range(-t - lx, -t))
+    past = x.window(-t, 0)
+    left = x.window(-t - len(x.left_period), -t - 1)
     cyc = shortest_return_cycle(q, w[-1])
     right = cyc[1:] + (cyc[0],)
     z = SymbolicPoint(left, past + w, right, t)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycle import LocallyConstantCocycle, evaluate, iterate
+from .cocycle import LocallyConstantCocycle, iterate
 from .linalg import (
     ConeParams,
     Flag,
@@ -222,14 +222,18 @@ def angle_experiment(a: LocallyConstantCocycle, flag: Flag, spec: ShadowSpec,
     pt = p.as_point()
     u_m = p.period
     j0, j1 = block_times(spec)
-    growth = math.log(np.linalg.norm(iterate(a, pt, u_m), 2))
+    ret_full = iterate(a, pt, u_m)
+    growth = math.log(np.linalg.norm(ret_full, 2))
     member = None if params is None else bool(block_membership_periodic(a, p, params))
 
+    k = a.window_radius
+    sym = pt.window(-k, u_m - 1 + k)
+    factors = [a.table[sym[j:j + 2 * k + 1]] for j in range(u_m)]
     for term_idx, term in enumerate(flag.proper_terms()):
         if term.dim == 0:
             continue
-        for j in range(u_m):
-            mapped = term.map_by(evaluate(a, pt.shifted(j)))
+        for j, factor in enumerate(factors):
+            mapped = term.map_by(factor)
             angle = largest_principal_angle(mapped, term)
             if angle > flag_tol:
                 raise ValueError(
@@ -261,7 +265,6 @@ def angle_experiment(a: LocallyConstantCocycle, flag: Flag, spec: ShadowSpec,
     rate = closed_form_projection_rate(cone, lam_hat, a.log_bound,
                                        spec.alpha, spec.b, spec.c)
     constant = 0.9 * calibrate_cone_constant(cone)
-    ret_full = iterate(a, pt, u_m)
     for i, term in enumerate(flag.proper_terms()):
         if term.dim == 0 or term.dim == a.dimension:
             continue

@@ -110,14 +110,13 @@ class TransferEvaluator:
         value = np.asarray(self.base_values[i], dtype=float)
         a, b = self.cocycle_a, self.cocycle_b
         if order == "us":
-            mid = bracket(x, w)  # past of x, future of the basepoint
-            value = _leg(a, b, value, w, mid, "stable")
-            return _leg(a, b, value, mid, x, "unstable")
-        if order == "su":
-            mid = bracket(w, x)  # past of the basepoint, future of x
-            value = _leg(a, b, value, w, mid, "unstable")
-            return _leg(a, b, value, mid, x, "stable")
-        raise ValueError(f"unknown transport order {order!r}")
+            mid, legs = bracket(x, w), ("stable", "unstable")  # past of x
+        elif order == "su":
+            mid, legs = bracket(w, x), ("unstable", "stable")  # future of x
+        else:
+            raise ValueError(f"unknown transport order {order!r}")
+        value = _leg(a, b, value, w, mid, legs[0])
+        return _leg(a, b, value, mid, x, legs[1])
 
     def __call__(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
         return self.evaluate(x, order)
@@ -185,6 +184,14 @@ def embed_corner(corner: np.ndarray, di: int, dj: int) -> np.ndarray:
 def _refined_value(a: LocallyConstantCocycle, word: Word, radius: int) -> np.ndarray:
     k = a.window_radius
     return a.table[word[radius - k: radius + k + 1]]
+
+
+def _check_membership(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
+                      desc: ZimmerDescriptor, tol: float) -> None:
+    for cocycle, name in ((a, "first"), (b, "second")):
+        for w, m in cocycle.table.items():
+            if not membership(m, desc, tol):
+                raise ValueError(f"{name} cocycle fails membership at window {w}")
 
 
 def _block_difference(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
@@ -288,10 +295,7 @@ def two_block_recover(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
         raise ValueError("two_block_recover needs a 2-block descriptor")
     if desc.exponent != 0.0:
         raise ValueError("descriptor exponent must be 0")
-    for cocycle, name in ((a, "first"), (b, "second")):
-        for w, m in cocycle.table.items():
-            if not membership(m, desc, tol):
-                raise ValueError(f"{name} cocycle fails membership at window {w}")
+    _check_membership(a, b, desc, tol)
     diag_gap = _block_difference(a, b, desc, [(0, 0), (1, 1)])
     if diag_gap > tol:
         raise ValueError(
@@ -408,10 +412,7 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
         raise ValueError("descriptor exponent must be 0 (normalize first)")
     if len(base_values) != a.q.size:
         raise ValueError("need one base value per symbol")
-    for cocycle, name in ((a, "first"), (b, "second")):
-        for w, m in cocycle.table.items():
-            if not membership(m, desc, membership_tol):
-                raise ValueError(f"{name} cocycle fails membership at window {w}")
+    _check_membership(a, b, desc, membership_tol)
 
     basepoints = default_basepoints(a.q)
     result = PeeledEvaluator(a, b, desc, basepoints)
@@ -428,21 +429,15 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
         table = materialize(a.q, lambda pt: stage.evaluate(pt, order="us"),
                             radius, desc.dim)
         table = minimize_table(table)
-        if _is_identity_table(table):
-            residual = _block_difference(a, b_current, desc, check_blocks)
-            stage_tol = tol * cond_scale
-            if residual > stage_tol:
-                raise StageError(name, residual, stage_tol)
-            result.stage_residuals.append(residual)
-            return
-        result.stages.append(stage)
-        result.stage_tables.append(table)
-        result.stage_names.append(name)
-        b_current = coboundary_conjugate(b_current, table)
-        b_current = minimize_table(b_current)
-        cond_scale *= max(condition_number(m) for m in table.table.values())
-        for s in range(a.q.size):
-            acc[s] = stage.evaluate(basepoints[s], order="us") @ acc[s]
+        if not _is_identity_table(table):
+            result.stages.append(stage)
+            result.stage_tables.append(table)
+            result.stage_names.append(name)
+            b_current = coboundary_conjugate(b_current, table)
+            b_current = minimize_table(b_current)
+            cond_scale *= max(condition_number(m) for m in table.table.values())
+            for s in range(a.q.size):
+                acc[s] = stage.evaluate(basepoints[s], order="us") @ acc[s]
         residual = _block_difference(a, b_current, desc, check_blocks)
         stage_tol = tol * cond_scale
         if residual > stage_tol:

@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocyclib import regularity
-from cocyclib.cocycle import LocallyConstantCocycle, evaluate, iterate
+from cocyclib.cocycle import (
+    LocallyConstantCocycle,
+    backward_product,
+    evaluate,
+    inverse_cocycle,
+    iterate,
+)
 from cocyclib.fixtures import (
     mixed_two_block_cocycle,
     u0_coboundary_fixture,
@@ -41,6 +47,14 @@ def reference_product(a, x, n):
         result = evaluate(a, x.shifted(j)) @ result
     for j in range(1, -n + 1):
         result = np.linalg.inv(evaluate(a, x.shifted(-j))) @ result
+    return result
+
+
+def reference_inverted_table_product(inv, x, n):
+    """inv(shift^-n x) ... inv(shift^-1 x), one table entry at a time."""
+    result = np.eye(inv.dimension)
+    for j in range(1, n + 1):
+        result = evaluate(inv, x.shifted(-j)) @ result
     return result
 
 
@@ -138,11 +152,14 @@ def test_finite_scale_exponent_equals_per_word_sum(n, chunk, n_symbols, radius, 
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 6), **systems)
+@given(n=st.integers(-6, 6), **systems)
 def test_backward_iterate_equals_inverse_factor_loop(n, n_symbols, radius, dim, seed):
     mu, a, rng = random_system(n_symbols, radius, dim, seed)
     x = sample_point(mu, rng, int(rng.integers(1, 12)), start=int(rng.integers(-8, 3)))
-    assert same_bits(iterate(a, x, -n), reference_product(a, x, -n))
+    assert same_bits(iterate(a, x, n), reference_product(a, x, n))
+    inv = inverse_cocycle(a)
+    assert same_bits(backward_product(inv, x, abs(n)),
+                     reference_inverted_table_product(inv, x, abs(n)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,8 +198,8 @@ def test_fixture_cocycles_equal_scalar_loops(q2, golden, mu2, mu_golden, rng):
                     assert _block_costs(a, p.as_point(), n_steps, period, direction) == \
                         reference_block_costs(a, p.as_point(), n_steps, period, direction)
         x = sample_point(mu, rng, 30)
-        for n in range(1, 21):
-            assert same_bits(iterate(a, x, -n), reference_product(a, x, -n))
+        for n in range(-20, 21):
+            assert same_bits(iterate(a, x, n), reference_product(a, x, n))
     points = [sample_point(mu2, rng, 90) for _ in range(60)]
     slope, means = distortion_growth_slope(fix.result, points, 40)
     ref_slope, ref_means = reference_slope(fix.result, points, 40)

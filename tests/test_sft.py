@@ -22,6 +22,8 @@ from cocyclib.sft import (
     is_admissible,
     periodic_point,
     point,
+    same_future,
+    same_past,
     same_sequence,
     shift,
     splice_future,
@@ -218,3 +220,66 @@ def test_enumerate_periodic_budget(q2):
 
     with pytest.raises(BudgetExceededError, match="budget"):
         enumerate_periodic(q2, 8, budget=100)
+
+
+# ---------------------------------------------------------------------------
+# point operations against brute-force scans of +-60 coordinates
+
+SCAN = 60
+symbols3 = st.integers(0, 2)
+periods3 = st.lists(symbols3, min_size=1, max_size=5).map(tuple)
+cores3 = st.lists(symbols3, max_size=8).map(tuple)
+offsets = st.integers(-8, 8)
+# periods of length <= 5, cores of length <= 8 and offsets in -8..8 put every
+# comparison horizon below SCAN, so a scan of +-SCAN decides equality
+
+
+@st.composite
+def point_pairs(draw):
+    """A random point on the full 3-shift and a second one that reuses some
+    of its parts, so that equal pasts, futures and whole sequences occur."""
+    x = SymbolicPoint(draw(periods3), draw(cores3), draw(periods3), draw(offsets))
+    core = list(x.core)
+    if core and draw(st.booleans()):
+        core[draw(st.integers(0, len(core) - 1))] = draw(symbols3)
+    pick = lambda own, fresh: own if draw(st.booleans()) else draw(fresh)
+    y = SymbolicPoint(pick(x.left_period, periods3), pick(tuple(core), cores3),
+                      pick(x.right_period, periods3), pick(x.origin_offset, offsets))
+    return x, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=point_pairs(), lo=st.integers(-30, 30), hi=st.integers(-30, 30))
+def test_window_reads_each_coordinate(pair, lo, hi):
+    x, _ = pair
+    assert x.window(lo, hi) == tuple(x[n] for n in range(lo, hi + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=point_pairs())
+def test_agreement_predicates_match_scans(pair):
+    x, y = pair
+    assert same_future(x, y) == all(x[n] == y[n] for n in range(0, SCAN + 1))
+    assert same_past(x, y) == all(x[-n] == y[-n] for n in range(0, SCAN + 1))
+    assert agreement_radius(x, y) == naive_agreement_radius(x, y, SCAN + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=point_pairs(), past=st.lists(symbols3, min_size=1, max_size=6),
+       future=st.lists(symbols3, min_size=1, max_size=6))
+def test_bracket_and_splices_keep_their_coordinates(pair, past, future):
+    q = full_shift(3)
+    x, y = pair
+    if x[0] == y[0]:
+        z = bracket(x, y)
+        assert all(z[n] == x[n] for n in range(-SCAN, 1))
+        assert all(z[n] == y[n] for n in range(0, SCAN + 1))
+    else:
+        with pytest.raises(ValueError, match="zero coordinates differ"):
+            bracket(x, y)
+    z = splice_past(q, x, past)
+    assert all(z[n] == x[n] for n in range(0, SCAN + 1))
+    assert [z[n] for n in range(-len(past), 0)] == past
+    z = splice_future(q, x, future)
+    assert all(z[n] == x[n] for n in range(-SCAN, 1))
+    assert [z[n] for n in range(1, len(future) + 1)] == future
