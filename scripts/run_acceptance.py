@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the acceptance suite with per-criterion pass/fail lines."""
+"""Run the acceptance suite with per-criterion pass/fail lines and the wall
+time of each criterion (pytest --durations=0)."""
 
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 def main() -> int:
     return subprocess.call([
         sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-v", "-s",
+        "--durations=0",
     ])
 
 

@@ -5,11 +5,23 @@ factors over cylinders as pi * prod(P), so the product-structure density on
 each one-symbol cylinder is the explicit constant 1/pi_i.  Sampling closes
 finite words into eventually periodic points so every sampled object is a
 genuine point of the shift space.
+
+Sampling contract: each Markov step consumes one uniform double from the
+generator and returns the index found by ``bisect_right`` in the normalised
+CDF of its row (``cumsum(p) / cumsum(p)[-1]``); a word draws its doubles as
+one ``rng.random(length)`` block.  This is what ``Generator.choice(n, p=p)``
+does, so the words and the generator state after every call are those of one
+``choice`` call per symbol.  Uniform predecessors are drawn with
+``rng.integers(0, k)``, as ``Generator.choice`` does for a list of k.
+``tests/test_measure.py::test_samplers_match_rng_choice`` and
+``test_samplers_match_rng_choice_on_cdf_boundaries`` pin this contract.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,21 +39,35 @@ from .sft import (
 STATIONARY_RESIDUAL_TOL = 1e-12
 
 
-def stationary(p: np.ndarray) -> np.ndarray:
-    """Unique stationary probability vector of a row-stochastic matrix.
-
-    The support of p must be irreducible.  Solved as a bordered linear
-    system; the residual ||pi P - pi|| is checked against 1e-12.
-    """
+def _check_row_stochastic(p) -> np.ndarray:
+    """p as a float array, after checking it is square, nonnegative and has
+    rows summing to 1 (to 1e-10)."""
     p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    if p.shape != (n, n):
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("transition probability matrix must be square")
     if np.any(p < 0):
         raise ValueError("transition probabilities must be nonnegative")
     rowsums = p.sum(axis=1)
     if not np.allclose(rowsums, 1.0, atol=1e-10):
         raise ValueError(f"rows must sum to 1, got row sums {rowsums}")
+    return p
+
+
+def _normalised_cdf(p: np.ndarray) -> list[float]:
+    """cumsum(p) / cumsum(p)[-1], the table Generator.choice searches."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def stationary(p: np.ndarray) -> np.ndarray:
+    """Unique stationary probability vector of a row-stochastic matrix.
+
+    The support of p must be irreducible.  Solved as a bordered linear
+    system; the residual ||pi P - pi|| is checked against 1e-12.
+    """
+    p = _check_row_stochastic(p)
+    n = p.shape[0]
     TransitionMatrix.from_rows((p > 0).astype(int).tolist())  # irreducibility
     a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)
@@ -57,11 +83,36 @@ def stationary(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MarkovMeasure:
-    """Stationary Markov measure with support matching a transition matrix."""
+    """Stationary Markov measure with support matching a transition matrix.
+
+    Construction checks that P is square, nonnegative and row-stochastic,
+    that the stationary vector is a probability vector of matching length
+    and that the support is exactly P > 0; :meth:`from_matrix` also checks
+    irreducibility and pi P = pi.
+    """
 
     transition_probabilities: np.ndarray
     stationary_distribution: np.ndarray
     support: TransitionMatrix
+
+    def __post_init__(self):
+        p = _check_row_stochastic(self.transition_probabilities)
+        pi = np.asarray(self.stationary_distribution, dtype=float)
+        if pi.shape != (p.shape[0],):
+            raise ValueError(
+                f"stationary distribution has shape {pi.shape}, expected "
+                f"({p.shape[0]},)")
+        if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-10:
+            raise ValueError("stationary distribution must be a probability vector")
+        if self.support.as_array.tolist() != (p > 0).astype(int).tolist():
+            raise ValueError("support differs from the positive entries of P")
+
+    @cached_property
+    def cdfs(self) -> tuple[list[float], list[list[float]]]:
+        """Normalised CDFs of pi and of each row of P, as searched by
+        the samplers."""
+        return (_normalised_cdf(self.stationary_distribution),
+                [_normalised_cdf(row) for row in self.transition_probabilities])
 
     @classmethod
     def from_matrix(cls, p, pi=None) -> "MarkovMeasure":
@@ -72,8 +123,7 @@ class MarkovMeasure:
             pi = computed
         else:
             pi = np.asarray(pi, dtype=float)
-            if np.linalg.norm(pi @ p - pi) > STATIONARY_RESIDUAL_TOL or \
-                    abs(pi.sum() - 1.0) > 1e-10:
+            if np.linalg.norm(pi @ p - pi) > STATIONARY_RESIDUAL_TOL:
                 raise ValueError("supplied stationary vector fails pi P = pi")
         return cls(p, pi, support)
 
@@ -113,14 +163,21 @@ def cylinder_measure(mu: MarkovMeasure, m: int, word: Sequence[int] | str) -> fl
 
 
 def sample_word(mu: MarkovMeasure, rng: np.random.Generator, length: int) -> Word:
-    """Word of the given length drawn from the stationary chain."""
+    """Word of the given length drawn from the stationary chain.
+
+    Draws ``rng.random(length)`` and bisects the first double in the CDF of
+    pi and each later one in the CDF of the previous symbol's row: the same
+    word and generator state as one ``rng.choice(n, p=...)`` per symbol.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
-    pi = mu.stationary_distribution
-    p = mu.transition_probabilities
-    out = [int(rng.choice(mu.n_symbols, p=pi))]
-    for _ in range(length - 1):
-        out.append(int(rng.choice(mu.n_symbols, p=p[out[-1]])))
+    pi_cdf, row_cdfs = mu.cdfs
+    u = rng.random(length).tolist()
+    s = bisect_right(pi_cdf, u[0])
+    out = [s]
+    for v in u[1:]:
+        s = bisect_right(row_cdfs[s], v)
+        out.append(s)
     return tuple(out)
 
 
@@ -146,15 +203,16 @@ def sample_stable_partner(mu: MarkovMeasure, x: SymbolicPoint,
 
     The past is resampled backwards from coordinate -keep_depth - 1 on;
     coordinates -keep_depth..-1 are copied from x.  Predecessors are drawn
-    uniformly among admissible ones.
+    uniformly among admissible ones, one ``rng.integers(0, k)`` per step,
+    as ``rng.choice`` of the list of k predecessors draws.
     """
     q = mu.support
     kept = x.window(-keep_depth, -1)
     last = kept[0] if kept else x[0]
     fresh: list[int] = []
     for _ in range(past_length):
-        preds = [s for s in range(q.size) if q.allows(s, last)]
-        last = int(rng.choice(preds))
+        preds = q.predecessors[last]
+        last = preds[rng.integers(0, len(preds))]
         fresh.insert(0, last)
     return splice_past(q, x, tuple(fresh) + kept)
 
@@ -162,13 +220,17 @@ def sample_stable_partner(mu: MarkovMeasure, x: SymbolicPoint,
 def sample_unstable_partner(mu: MarkovMeasure, x: SymbolicPoint,
                             rng: np.random.Generator, future_length: int = 6,
                             keep_depth: int = 0) -> SymbolicPoint:
-    """Random point on the local unstable set of x (same coordinates n <= 0)."""
+    """Random point on the local unstable set of x (same coordinates n <= 0).
+
+    Coordinates 1..keep_depth are copied from x; the future after them is
+    drawn from the chain as in :func:`sample_word`, one double per step.
+    """
     q = mu.support
-    p = mu.transition_probabilities
+    row_cdfs = mu.cdfs[1]
     kept = x.window(1, keep_depth)
     last = kept[-1] if kept else x[0]
     fresh: list[int] = []
-    for _ in range(future_length):
-        last = int(rng.choice(mu.n_symbols, p=p[last]))
+    for v in rng.random(future_length).tolist():
+        last = bisect_right(row_cdfs[last], v)
         fresh.append(last)
     return splice_future(q, x, kept + tuple(fresh))

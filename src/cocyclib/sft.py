@@ -105,6 +105,13 @@ class TransitionMatrix:
         return bool(self.entries[i][j])
 
     @cached_property
+    def predecessors(self) -> tuple[Word, ...]:
+        """predecessors[j]: the symbols i with i -> j allowed, ascending."""
+        n = self.size
+        return tuple(tuple(i for i in range(n) if self.entries[i][j])
+                     for j in range(n))
+
+    @cached_property
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int64)
 
@@ -185,6 +192,17 @@ def admissible_words(q: TransitionMatrix, length: int,
     yield from extend(())
 
 
+def _cyclic_run(period: Word, start: int, stop: int) -> Word:
+    """Entries start..stop-1 of the bi-infinite repetition of `period`
+    (entry j is period[j % len(period)]); empty when stop <= start."""
+    count = stop - start
+    if count <= 0:
+        return ()
+    n = len(period)
+    s = start % n
+    return (period * ((s + count - 1) // n + 1))[s:s + count]
+
+
 @dataclass(frozen=True)
 class SymbolicPoint:
     """Eventually periodic bi-infinite admissible sequence.
@@ -214,8 +232,12 @@ class SymbolicPoint:
         return self.right_period[(j - len(self.core)) % len(self.right_period)]
 
     def window(self, lo: int, hi: int) -> Word:
-        """Coordinates lo..hi inclusive."""
-        return tuple(self[n] for n in range(lo, hi + 1))
+        """Coordinates lo..hi inclusive (empty when hi < lo)."""
+        a, b = self.origin_offset + lo, self.origin_offset + hi + 1
+        c = len(self.core)
+        return (_cyclic_run(self.left_period, a, min(b, 0))
+                + self.core[max(a, 0):max(min(b, c), 0)]
+                + _cyclic_run(self.right_period, max(a, c) - c, b - c))
 
     def shifted(self, n: int = 1) -> "SymbolicPoint":
         """Image under the n-th power of the left shift (exact)."""

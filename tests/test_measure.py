@@ -4,12 +4,23 @@ import pytest
 from cocyclib.measure import (
     MarkovMeasure,
     cylinder_measure,
+    golden_mean_markov,
     sample_point,
     sample_stable_partner,
     sample_unstable_partner,
+    sample_word,
     stationary,
+    uniform_bernoulli,
 )
-from cocyclib.sft import admissible_words, validate_point
+from cocyclib.sft import (
+    admissible_words,
+    close_word,
+    full_shift,
+    golden_mean_shift,
+    splice_future,
+    splice_past,
+    validate_point,
+)
 
 
 def test_stationary_symmetric_cases():
@@ -131,3 +142,161 @@ def test_supplied_stationary_vector_validated():
     np.testing.assert_allclose(mu.stationary_distribution, [2 / 3, 1 / 3])
     with pytest.raises(ValueError, match="stationary"):
         MarkovMeasure.from_matrix(p, pi=[0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# hand-built measures are checked like from_matrix ones
+
+
+def _golden_parts():
+    mu = golden_mean_markov()
+    return mu.transition_probabilities, mu.stationary_distribution, mu.support
+
+
+@pytest.mark.parametrize("p, pi, support, match", [
+    (np.ones((2, 3)) / 3, [0.5, 0.5], full_shift(2), "square"),
+    (np.array([[1.5, -0.5], [0.5, 0.5]]), [0.5, 0.5], full_shift(2), "nonnegative"),
+    (np.array([[0.7, 0.2], [0.5, 0.5]]), [0.5, 0.5], full_shift(2), "sum to 1"),
+    (np.full((2, 2), 0.5), [1 / 3, 1 / 3, 1 / 3], full_shift(2), "shape"),
+    (np.full((2, 2), 0.5), [0.7, 0.7], full_shift(2), "probability vector"),
+    (np.full((2, 2), 0.5), [0.5, 0.5], golden_mean_shift(), "support"),
+    (np.full((3, 3), 1 / 3), [1 / 3] * 3, full_shift(2), "support"),
+    (_golden_parts()[0], _golden_parts()[1], full_shift(2), "support"),
+])
+def test_hand_built_measure_rejected(p, pi, support, match):
+    with pytest.raises(ValueError, match=match):
+        MarkovMeasure(p, np.asarray(pi), support)
+
+
+def test_hand_built_measure_accepted():
+    p, pi, support = _golden_parts()
+    mu = MarkovMeasure(p, pi, support)
+    assert sample_point(mu, np.random.default_rng(0), 5).core
+
+
+# ---------------------------------------------------------------------------
+# the samplers against the rng.choice loops they replaced: same words, same
+# points and the same generator state after every call
+
+
+def ref_sample_word(mu, rng, length):
+    pi = mu.stationary_distribution
+    p = mu.transition_probabilities
+    out = [int(rng.choice(mu.n_symbols, p=pi))]
+    for _ in range(length - 1):
+        out.append(int(rng.choice(mu.n_symbols, p=p[out[-1]])))
+    return tuple(out)
+
+
+def ref_sample_point(mu, rng, core_length):
+    w = ref_sample_word(mu, rng, core_length)
+    return close_word(mu.support, w, origin_offset=core_length // 2)
+
+
+def ref_stable_partner(mu, x, rng, past_length=6, keep_depth=0):
+    q = mu.support
+    kept = x.window(-keep_depth, -1)
+    last = kept[0] if kept else x[0]
+    fresh = []
+    for _ in range(past_length):
+        preds = [s for s in range(q.size) if q.allows(s, last)]
+        last = int(rng.choice(preds))
+        fresh.insert(0, last)
+    return splice_past(q, x, tuple(fresh) + kept)
+
+
+def ref_unstable_partner(mu, x, rng, future_length=6, keep_depth=0):
+    q = mu.support
+    p = mu.transition_probabilities
+    kept = x.window(1, keep_depth)
+    last = kept[-1] if kept else x[0]
+    fresh = []
+    for _ in range(future_length):
+        last = int(rng.choice(mu.n_symbols, p=p[last]))
+        fresh.append(last)
+    return splice_future(q, x, kept + tuple(fresh))
+
+
+# row 0 sums to 0.9999999999999999 in floating point, so its normalised CDF
+# differs from the raw cumulative sum; 1 -> 1 is a zero transition
+THREE_STATE = np.array([[0.7, 0.2, 0.1], [0.25, 0.0, 0.75], [0.6, 0.4, 0.0]])
+
+DIFFERENTIAL_MEASURES = {
+    "uniform2": lambda: uniform_bernoulli(2),
+    "uniform3": lambda: uniform_bernoulli(3),
+    "uniform5": lambda: uniform_bernoulli(5),
+    "golden": golden_mean_markov,
+    "three_state_zero": lambda: MarkovMeasure.from_matrix(THREE_STATE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MEASURES))
+def test_samplers_match_rng_choice(name):
+    mu = DIFFERENTIAL_MEASURES[name]()
+    for seed in range(500):
+        new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        def same(got, want):
+            assert got == want, (name, seed)
+            assert new.bit_generator.state == ref.bit_generator.state, (name, seed)
+
+        length = seed % 40 + 1
+        same(sample_word(mu, new, length), ref_sample_word(mu, ref, length))
+        core = seed % 9 + 1
+        x = sample_point(mu, new, core)
+        same(x, ref_sample_point(mu, ref, core))
+        for keep in (0, 2):
+            same(sample_stable_partner(mu, x, new, keep_depth=keep),
+                 ref_stable_partner(mu, x, ref, keep_depth=keep))
+            same(sample_unstable_partner(mu, x, new, keep_depth=keep),
+                 ref_unstable_partner(mu, x, ref, keep_depth=keep))
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator_first_draw(u):
+    """A PCG64 generator whose next rng.random() is exactly u (a multiple of
+    2**-53 in [0, 1)): the state before a step that lands on an output word
+    whose top 53 bits are u * 2**53."""
+    inc, hi = 0xB0A7C1E5D2F3A4B7, 0x0123456789ABCDEF
+    target = int(u * 2 ** 53) << 11
+    rot = hi >> 58
+    lo = hi ^ (((target << rot) | (target >> (64 - rot))) & (2 ** 64 - 1))
+    state = (((hi << 64) | lo) - inc) * pow(_PCG_MULT, -1, 2 ** 128) % 2 ** 128
+    bg = np.random.PCG64()
+    bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bg)
+
+
+def _draws_at_cdf_boundaries(probabilities):
+    """Every double a generator can return at, or one step either side of,
+    an entry of the raw or the normalised cumulative sum."""
+    c = np.cumsum(probabilities)
+    edges = set()
+    for e in [*c, *(c / c[-1])]:
+        for u in (e - 2 ** -53, e, e + 2 ** -53):
+            if 0 <= u < 1 and (u * 2 ** 53).is_integer():
+                edges.add(float(u))
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MEASURES))
+def test_samplers_match_rng_choice_on_cdf_boundaries(name):
+    # random seeds essentially never draw a double equal to a CDF entry, so
+    # ties, where bisect_left and an unnormalised CDF would go wrong, are
+    # forced here
+    mu = DIFFERENTIAL_MEASURES[name]()
+    assert _generator_first_draw(0.75).random() == 0.75
+    for u in _draws_at_cdf_boundaries(mu.stationary_distribution):
+        new, ref = _generator_first_draw(u), _generator_first_draw(u)
+        assert sample_word(mu, new, 3) == ref_sample_word(mu, ref, 3), (name, u)
+        assert new.bit_generator.state == ref.bit_generator.state
+    for i, row in enumerate(mu.transition_probabilities):
+        x = close_word(mu.support, (i,))
+        for u in _draws_at_cdf_boundaries(row):
+            new, ref = _generator_first_draw(u), _generator_first_draw(u)
+            got = sample_unstable_partner(mu, x, new, future_length=3)
+            assert got == ref_unstable_partner(mu, x, ref, future_length=3), (name, i, u)
+            assert new.bit_generator.state == ref.bit_generator.state

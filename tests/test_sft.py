@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cocyclib.sft import (
@@ -20,6 +21,7 @@ from cocyclib.sft import (
     full_shift,
     golden_mean_shift,
     is_admissible,
+    is_cyclically_admissible,
     periodic_point,
     point,
     same_future,
@@ -28,6 +30,7 @@ from cocyclib.sft import (
     shift,
     splice_future,
     splice_past,
+    validate_point,
 )
 
 
@@ -248,10 +251,23 @@ def point_pairs(draw):
     return x, y
 
 
-@settings(max_examples=100, deadline=None)
-@given(pair=point_pairs(), lo=st.integers(-30, 30), hi=st.integers(-30, 30))
-def test_window_reads_each_coordinate(pair, lo, hi):
+@settings(max_examples=300, deadline=None)
+@given(pair=point_pairs(), lo=st.integers(-30, 30),
+       width=st.one_of(st.integers(-3, 3), st.integers(0, 60)))
+@example(pair=(SymbolicPoint((1, 2), (0,), (2, 0, 1), 0), None), lo=-9, width=20)
+@example(pair=(SymbolicPoint((1, 2, 0), (), (2,), 3), None), lo=-20, width=40)
+@example(pair=(SymbolicPoint((1, 2), (0, 1), (2, 0, 1), 1), None), lo=4, width=0)
+@example(pair=(SymbolicPoint((1, 2), (0, 1), (2, 0, 1), 1), None), lo=-7, width=0)
+@example(pair=(SymbolicPoint((0, 1, 2, 0, 1), (2,), (1, 0, 2, 2, 0), 0), None),
+         lo=-12, width=3)
+@example(pair=(SymbolicPoint((0, 1, 2, 0, 1), (2,), (1, 0, 2, 2, 0), 0), None),
+         lo=5, width=2)
+def test_window_reads_each_coordinate(pair, lo, width):
+    # width = hi - lo + 1: negative and zero widths are empty windows
+    # (hi == lo - 1 included), short ones sit inside one period of a tail,
+    # long ones straddle both tails and the core
     x, _ = pair
+    hi = lo + width - 1
     assert x.window(lo, hi) == tuple(x[n] for n in range(lo, hi + 1))
 
 
@@ -283,3 +299,57 @@ def test_bracket_and_splices_keep_their_coordinates(pair, past, future):
     z = splice_future(q, x, future)
     assert all(z[n] == x[n] for n in range(-SCAN, 1))
     assert [z[n] for n in range(1, len(future) + 1)] == future
+
+
+# ---------------------------------------------------------------------------
+# close_word on random irreducible SFTs against brute force
+
+
+@st.composite
+def sfts_with_words(draw):
+    """A random irreducible SFT on at most 3 symbols and an admissible word."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    try:
+        q = TransitionMatrix.from_rows(rows)
+    except ValueError:
+        assume(False)
+    word = [draw(st.integers(0, n - 1))]
+    for _ in range(draw(st.integers(0, 7))):
+        word.append(draw(st.sampled_from([s for s in range(n) if q.allows(word[-1], s)])))
+    return q, tuple(word)
+
+
+def shortest_cycle_length(q, symbol):
+    """Least m such that some cyclically admissible word of length m starts
+    with `symbol`, by enumerating every word of each length."""
+    for m in range(1, q.size + 1):
+        for rest in itertools.product(range(q.size), repeat=m - 1):
+            if is_cyclically_admissible((symbol,) + rest, q):
+                return m
+    raise AssertionError("irreducible SFT without a return cycle")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sfts_with_words(), offset=st.integers(-10, 10))
+def test_close_word_matches_brute_force(case, offset):
+    q, w = case
+    x = close_word(q, w, origin_offset=offset)
+    validate_point(x, q)
+    assert x.core == w
+    assert tuple(x[n] for n in range(-offset, len(w) - offset)) == w
+    left, right = x.left_period, x.right_period
+    assert is_cyclically_admissible(left, q) and is_cyclically_admissible(right, q)
+    # the left cycle starts with the first symbol and closes into it; the
+    # right cycle ends with the last symbol and the core closes into it
+    assert left[0] == w[0] and right[-1] == w[-1]
+    assert len(left) == shortest_cycle_length(q, w[0])
+    assert len(right) == shortest_cycle_length(q, w[-1])
+    with pytest.raises(ValueError, match="empty"):
+        close_word(q, (), origin_offset=offset)
+    forbidden = [(a, b) for a in range(q.size) for b in range(q.size)
+                 if not q.allows(a, b)]
+    for a, b in forbidden:
+        with pytest.raises(ValueError, match="not admissible"):
+            close_word(q, w + (a, b) if q.allows(w[-1], a) else (a, b))
