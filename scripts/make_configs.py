@@ -17,12 +17,7 @@ OUT = HERE / "configs"
 
 
 def table_json(a: LocallyConstantCocycle) -> dict:
-    return {
-        "window_radius": a.window_radius,
-        "dimension": a.dimension,
-        "table": {" ".join(map(str, w)): m.tolist()
-                  for w, m in sorted(a.table.items())},
-    }
+    return {**a.table_jsonable(), "dimension": a.dimension}
 
 
 FULL2 = {"transition_matrix": [[1, 1], [1, 1]], "tau": 1.0}

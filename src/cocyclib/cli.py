@@ -14,7 +14,8 @@ import io
 import json
 import math
 import sys
-from typing import Any, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -44,10 +45,11 @@ from .sft import (
     BudgetExceededError,
     MetricParams,
     TransitionMatrix,
-    as_word,
     distance,
     enumerate_periodic,
+    parse_word_key,
     periodic_point,
+    word_key,
 )
 from .shadow import ShadowSpec, angle_experiment, growth_measure
 from .transfer import (
@@ -72,41 +74,40 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _require(cfg: dict, path: str, key: str):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}", "missing required key")
-    return cfg[key]
+@contextmanager
+def _config_value(path: str):
+    """Report a TypeError or ValueError as a ConfigError at the key path."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
-def _parse_word_key(key: str) -> tuple[int, ...]:
-    if " " in key:
-        return tuple(int(s) for s in key.split())
-    return as_word(key)
+def _value(section: dict, path: str, convert: Callable, default: Any = None):
+    """convert() of the value at a key path such as ``$.experiment.n`` in its
+    section (``dict`` for a section); the key is required without a default."""
+    key = path.rsplit(".", 1)[1]
+    if default is None and key not in section:
+        raise ConfigError(path, "missing required key")
+    with _config_value(path):
+        return convert(section.get(key, default))
 
 
 def build_system(cfg: dict) -> tuple[TransitionMatrix, MetricParams]:
-    sys_cfg = _require(cfg, "$", "system")
-    rows = _require(sys_cfg, "$.system", "transition_matrix")
-    try:
-        q = TransitionMatrix.from_rows(rows)
-    except ValueError as exc:
-        raise ConfigError("$.system.transition_matrix", str(exc)) from exc
-    tau = float(sys_cfg.get("tau", 1.0))
-    try:
-        metric = MetricParams(tau)
-    except ValueError as exc:
-        raise ConfigError("$.system.tau", str(exc)) from exc
+    sys_cfg = _value(cfg, "$.system", dict)
+    q = _value(sys_cfg, "$.system.transition_matrix", TransitionMatrix.from_rows)
+    metric = _value(sys_cfg, "$.system.tau", lambda v: MetricParams(float(v)), 1.0)
     return q, metric
 
 
 def build_measure(cfg: dict, q: TransitionMatrix) -> MarkovMeasure:
-    m_cfg = _require(cfg, "$", "measure")
-    p = _require(m_cfg, "$.measure", "transition_probabilities")
-    try:
-        mu = MarkovMeasure.from_matrix(np.array(p, dtype=float),
-                                       m_cfg.get("stationary"))
-    except ValueError as exc:
-        raise ConfigError("$.measure", str(exc)) from exc
+    m_cfg = _value(cfg, "$.measure", dict)
+    p = _value(m_cfg, "$.measure.transition_probabilities",
+               lambda v: np.array(v, dtype=float))
+    with _config_value("$.measure"):
+        mu = MarkovMeasure.from_matrix(p, m_cfg.get("stationary"))
     if mu.support.entries != q.entries:
         raise ConfigError("$.measure.transition_probabilities",
                           "support does not match the transition matrix")
@@ -115,29 +116,30 @@ def build_measure(cfg: dict, q: TransitionMatrix) -> MarkovMeasure:
 
 def build_cocycle(cfg: dict, q: TransitionMatrix, key: str = "cocycle",
                   source: dict | None = None) -> LocallyConstantCocycle:
-    c_cfg = source if source is not None else _require(cfg, "$", key)
-    radius = int(_require(c_cfg, f"$.{key}", "window_radius"))
-    table_cfg = _require(c_cfg, f"$.{key}", "table")
-    table = {_parse_word_key(word): np.array(mat, dtype=float)
-             for word, mat in table_cfg.items()}
-    try:
+    path = f"$.{key}"
+    c_cfg = source if source is not None else _value(cfg, path, dict)
+    radius = _value(c_cfg, f"{path}.window_radius", int)
+    table = {}
+    for word, mat in _value(c_cfg, f"{path}.table", dict).items():
+        with _config_value(f"{path}.table.{word}"):
+            table[parse_word_key(word)] = np.array(mat, dtype=float)
+    with _config_value(f"{path}.table"):
         return LocallyConstantCocycle.from_table(q, radius, table)
-    except ValueError as exc:
-        raise ConfigError(f"$.{key}.table", str(exc)) from exc
 
 
 def build_descriptor(cfg: dict) -> ZimmerDescriptor:
-    d_cfg = _require(cfg, "$", "descriptor")
-    dims = tuple(int(v) for v in _require(d_cfg, "$.descriptor", "block_dims"))
-    return ZimmerDescriptor(dims, float(d_cfg.get("exponent", 0.0)))
+    d_cfg = _value(cfg, "$.descriptor", dict)
+    exponent = _value(d_cfg, "$.descriptor.exponent", float, 0.0)
+    return _value(d_cfg, "$.descriptor.block_dims",
+                  lambda dims: ZimmerDescriptor(tuple(int(d) for d in dims), exponent))
 
 
 def experiment_params(cfg: dict) -> dict:
-    exp = _require(cfg, "$", "experiment")
+    exp = _value(cfg, "$.experiment", dict)
     if "seed" not in exp:
         raise ConfigError("$.experiment.seed",
                           "seeds are mandatory; no ambient entropy is used")
-    kind = _require(exp, "$.experiment", "kind")
+    kind = _value(exp, "$.experiment.kind", str)
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError("$.experiment.kind",
                           f"unknown kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
@@ -182,15 +184,15 @@ def _jsonable(obj: Any) -> Any:
 def _run_exponents(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
-    n = int(exp.get("n", 2))
-    trials = min(int(exp.get("trials", 2000)), budgets["samples"])
-    max_period = int(exp.get("max_period", 4))
+    n = _value(exp, "$.experiment.n", int, 2)
+    trials = min(_value(exp, "$.experiment.trials", int, 2000), budgets["samples"])
+    max_period = _value(exp, "$.experiment.max_period", int, 4)
     results: dict[str, Any] = {}
     rows = []
     for period in range(1, max_period + 1):
         for p in enumerate_periodic(q, period):
             rep = periodic_exponents(a, p)
-            rows.append({"word": " ".join(map(str, p.cyclic_word)),
+            rows.append({"word": word_key(p.cyclic_word),
                          "period": period,
                          "lambda_plus": rep.lambda_plus,
                          "lambda_minus": rep.lambda_minus})
@@ -223,9 +225,9 @@ def _run_exponents(cfg, q, metric, exp, rng, budgets):
 def _run_holonomy(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
-    n_pairs = min(int(exp.get("pairs", 400)), budgets["samples"])
-    inter_n = int(exp.get("intertwine_n", 10))
-    tol = float(exp.get("tolerance", 1e-12))
+    n_pairs = min(_value(exp, "$.experiment.pairs", int, 400), budgets["samples"])
+    inter_n = _value(exp, "$.experiment.intertwine_n", int, 10)
+    tol = _value(exp, "$.experiment.tolerance", float, 1e-12)
     chain_worst = 0.0
     inter_worst = 0.0
     lip_max = 0.0
@@ -256,7 +258,8 @@ def _run_holonomy(cfg, q, metric, exp, rng, budgets):
                "holonomy: transport composes along stable triples"),
         _check("intertwining", inter_worst, tol,
                "holonomy: conjugation by orbit products"),
-        _check("lipschitz-finite", lip_max, float(exp.get("lipschitz_bound", 1e6)),
+        _check("lipschitz-finite", lip_max,
+               _value(exp, "$.experiment.lipschitz_bound", float, 1e6),
                "holonomy: ||H - Id|| <= L rho"),
     ]
     return results, {}, checks
@@ -265,9 +268,11 @@ def _run_holonomy(cfg, q, metric, exp, rng, budgets):
 def _run_blocks(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
-    params = BlockParams(int(exp.get("N", 1)), float(_require(exp, "$.experiment", "theta")))
-    max_period = int(exp.get("max_period", 4))
-    s_max = int(exp.get("s_max", 8))
+    with _config_value("$.experiment"):
+        params = BlockParams(_value(exp, "$.experiment.N", int, 1),
+                             _value(exp, "$.experiment.theta", float))
+    max_period = _value(exp, "$.experiment.max_period", int, 4)
+    s_max = _value(exp, "$.experiment.s_max", int, 8)
     rows = []
     consistent = True
     for period in range(1, max_period + 1):
@@ -277,10 +282,10 @@ def _run_blocks(cfg, q, metric, exp, rng, budgets):
             finite = block_membership_finite(a, p.as_point(), params,
                                              2 * q_prime * params.n_steps)
             consistent = consistent and (exact == finite)
-            rows.append({"word": " ".join(map(str, p.cyclic_word)),
+            rows.append({"word": word_key(p.cyclic_word),
                          "period": period, "member": bool(exact)})
     probe_rows = []
-    n_probe = min(int(exp.get("probe_points", 5)), budgets["samples"])
+    n_probe = min(_value(exp, "$.experiment.probe_points", int, 5), budgets["samples"])
     grid_n = exp.get("probe_n_grid", [1, 2, 4])
     grid_theta = exp.get("probe_theta_grid", [0.25, 0.5, 1.0, 2.0, 4.0])
     for idx in range(n_probe):
@@ -300,26 +305,29 @@ def _run_blocks(cfg, q, metric, exp, rng, budgets):
 
 def _run_shadow(cfg, q, metric, exp, rng, budgets):
     a = build_cocycle(cfg, q)
-    x = periodic_point(q, _parse_word_key(str(_require(exp, "$.experiment", "x_word"))))
-    y = periodic_point(q, _parse_word_key(str(_require(exp, "$.experiment", "y_word"))))
-    b = int(exp.get("b", 2))
-    c = int(exp.get("c", 2))
-    alpha = float(exp.get("alpha", 0.1))
-    ms = [int(m) for m in exp.get("ms", [4, 8, 12, 16])]
-    params = BlockParams(int(exp.get("N", 4)), float(exp.get("theta", 3.0)))
-    specs = [ShadowSpec(q, x, y, m, b, c, alpha) for m in ms]
+    x, y = (_value(exp, path, lambda w: periodic_point(q, parse_word_key(str(w))))
+            for path in ("$.experiment.x_word", "$.experiment.y_word"))
+    b = _value(exp, "$.experiment.b", int, 2)
+    c = _value(exp, "$.experiment.c", int, 2)
+    alpha = _value(exp, "$.experiment.alpha", float, 0.1)
+    ms = _value(exp, "$.experiment.ms", lambda v: [int(m) for m in v], [4, 8, 12, 16])
+    with _config_value("$.experiment"):
+        params = BlockParams(_value(exp, "$.experiment.N", int, 4),
+                             _value(exp, "$.experiment.theta", float, 3.0))
+        specs = [ShadowSpec(q, x, y, m, b, c, alpha) for m in ms]
     table = growth_measure(a, specs, params)
     results = {"chi_hat": table["chi_hat"], "b": b, "c": c, "alpha": alpha}
     tables = {"growth": table["rows"]}
     checks = []
     if "flag_dims" in exp:
-        dims = [int(v) for v in exp["flag_dims"]]
+        dims = _value(exp, "$.experiment.flag_dims", lambda v: [int(d) for d in v])
         flag = Flag(tuple(Subspace.standard(a.dimension, range(k)) for k in dims))
-        cone = ConeParams(tuple(exp.get("cone_split", (1, a.dimension - 1))),
-                          float(exp.get("cone_mu", 2.0)),
-                          float(exp.get("cone_lambda", 0.999)),
-                          float(exp.get("cone_epsilon", 0.05)),
-                          float(exp.get("cone_delta", 0.3)))
+        with _config_value("$.experiment"):
+            cone = ConeParams(tuple(exp.get("cone_split", (1, a.dimension - 1))),
+                              _value(exp, "$.experiment.cone_mu", float, 2.0),
+                              _value(exp, "$.experiment.cone_lambda", float, 0.999),
+                              _value(exp, "$.experiment.cone_epsilon", float, 0.05),
+                              _value(exp, "$.experiment.cone_delta", float, 0.3))
         rep = angle_experiment(a, flag, specs[-1], cone, params=params, rng=rng)
         tables["angles"] = rep.angle_rows
         tables["projection_growth"] = rep.projection_rows
@@ -337,7 +345,7 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
     desc = build_descriptor(cfg)
-    tol = float(exp.get("tolerance", 1e-8))
+    tol = _value(exp, "$.experiment.tolerance", float, 1e-8)
     if "conjugator" in exp:
         u = build_cocycle(cfg, q, key="experiment.conjugator",
                           source=exp["conjugator"])
@@ -346,11 +354,11 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
         base_values = [np.linalg.inv(evaluate(u, w)) for w in basepoints]
     else:
         b = build_cocycle(cfg, q, key="experiment.cocycle_b",
-                          source=_require(exp, "$.experiment", "cocycle_b"))
-        base_values = [np.array(v, dtype=float)
-                       for v in _require(exp, "$.experiment", "base_values")]
+                          source=_value(exp, "$.experiment.cocycle_b", dict))
+        base_values = _value(exp, "$.experiment.base_values",
+                                 lambda vs: [np.array(v, dtype=float) for v in vs])
     evaluator = superdiagonal_peel(a, b, desc, base_values, tol=tol)
-    n_samples = min(int(exp.get("samples", 500)), budgets["samples"])
+    n_samples = min(_value(exp, "$.experiment.samples", int, 500), budgets["samples"])
     samples = [sample_point(mu, rng, 14) for _ in range(n_samples)]
     report = verify_conjugacy(a, b, evaluator, samples, tol=tol, metric=metric)
     path_gap = max(float(np.max(np.abs(
@@ -365,7 +373,8 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
     checks = [
         _check("conjugacy-residual", report.max_residual, tol,
                "transfer: A(x) = C(shift x) B(x) C(x)^{-1} on samples"),
-        _check("path-independence", path_gap, float(exp.get("path_tolerance", 1e-9)),
+        _check("path-independence", path_gap,
+               _value(exp, "$.experiment.path_tolerance", float, 1e-9),
                "transfer: su and us transport agree"),
     ]
     return results, {}, checks
@@ -374,7 +383,7 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
 def _run_verify_zimmer(cfg, q, metric, exp, rng, budgets):
     a = build_cocycle(cfg, q)
     desc = build_descriptor(cfg)
-    tol = float(exp.get("tolerance", 1e-8))
+    tol = _value(exp, "$.experiment.tolerance", float, 1e-8)
     worst_lower = 0.0
     worst_diag = 0.0
     all_ok = True
@@ -384,10 +393,10 @@ def _run_verify_zimmer(cfg, q, metric, exp, rng, budgets):
         worst_lower = max(worst_lower, res.lower_residual)
         worst_diag = max(worst_diag, max(res.diagonal_residuals))
         all_ok = all_ok and res.ok
-        rows.append({"window": " ".join(map(str, w)), "member": bool(res.ok),
+        rows.append({"window": word_key(w), "member": bool(res.ok),
                      "lower_residual": res.lower_residual,
                      "diagonal_residual": max(res.diagonal_residuals)})
-    n_products = int(exp.get("closure_products", 50))
+    n_products = _value(exp, "$.experiment.closure_products", int, 50)
     closure_ok = True
     for _ in range(n_products):
         m1 = random_element(desc, rng, 1.0)
@@ -419,7 +428,7 @@ def _run_example_unipotent(cfg, q, metric, exp, rng, budgets):
     for w, m in sorted(ex.b.table.items()):
         expected = np.array([[1.0, 1.0 - w[2] + w[1]], [0.0, 1.0]])
         formula_exact = formula_exact and bool(np.array_equal(m, expected))
-        rows.append({"window": " ".join(map(str, w)),
+        rows.append({"window": word_key(w),
                      "value": m.tolist(), "expected": expected.tolist()})
     member_ok = all(membership(m, desc).ok for m in ex.b.table.values())
     # a = frame(shift x) b frame(x)^{-1}, so the peel recovers the frame.
@@ -459,11 +468,12 @@ def run(config: dict) -> dict:
     """Validate the config, run its experiment and return the report dict."""
     q, metric = build_system(config)
     exp = experiment_params(config)
-    seed = int(exp["seed"])
+    seed = _value(exp, "$.experiment.seed", int)
     rng = np.random.default_rng(seed)
     budget_cfg = exp.get("budgets", {})
-    budgets = {"words": int(budget_cfg.get("words", DEFAULT_WORD_BUDGET)),
-               "samples": int(budget_cfg.get("samples", DEFAULT_SAMPLE_BUDGET))}
+    budgets = {key: _value(budget_cfg, f"$.experiment.budgets.{key}", int, default)
+               for key, default in (("words", DEFAULT_WORD_BUDGET),
+                                    ("samples", DEFAULT_SAMPLE_BUDGET))}
     handler = _HANDLERS[exp["kind"]]
     results, tables, checks = handler(config, q, metric, exp, rng, budgets)
     report = {

@@ -21,9 +21,17 @@ from .sft import (
     Word,
     admissible_words,
     as_word,
+    word_key,
 )
 
 MAX_CONDITION = 1e14
+
+
+def _orbit_span(k: int, n: int) -> tuple[int, int]:
+    """First and last coordinate read by the factors of A^n(x) for a
+    window-k generator: the windows centred at 0..n-1 for n >= 0 and at
+    n..-1 for n < 0."""
+    return (-k, n - 1 + k) if n >= 0 else (n - k, k - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +42,8 @@ class OrbitKernel:
     the entrywise matrix inverses of ``stack``.  For whole symbol arrays a
     window w_0..w_{2k} is read by its base-q code sum_i w_i q^(2k-i), which
     ``row_of_code`` maps to the same row (-1 where the table has no entry);
-    the dict stays the cheaper lookup for a few windows at a time.
+    the dict stays the cheaper lookup for a few windows at a time.  Single
+    orbit products start from the read-only ``identity``.
     """
 
     n_symbols: int
@@ -43,6 +52,7 @@ class OrbitKernel:
     row_of_code: np.ndarray
     stack: np.ndarray
     inverse: np.ndarray
+    identity: np.ndarray
 
     def rows(self, symbols) -> np.ndarray:
         """Table rows of the consecutive windows of each symbol sequence.
@@ -61,6 +71,14 @@ class OrbitKernel:
         if np.any(rows < 0):
             raise KeyError("window missing from the generator table")
         return rows
+
+    def orbit_rows(self, points, n: int) -> np.ndarray:
+        """(len(points), |n|) rows of the factors of A^n in product order:
+        the factor at t for n >= 0 and at -1 - t for n < 0."""
+        lo, hi = _orbit_span(self.width // 2, n)
+        sym = np.array([x.window(lo, hi) for x in points], dtype=np.int64)
+        rows = self.rows(sym.reshape(len(points), hi - lo + 1))
+        return rows if n >= 0 else rows[:, ::-1]
 
     @staticmethod
     def fold(mats: np.ndarray, rows: np.ndarray,
@@ -154,17 +172,27 @@ class LocallyConstantCocycle:
                 code = code * q + s
             row_of_code[code] = row
         stack = np.array([self.table[w] for w in windows], dtype=float)
+        identity = np.eye(self.dimension)
+        identity.flags.writeable = False
         return OrbitKernel(q, width, {w: row for row, w in enumerate(windows)},
-                           row_of_code, stack, np.linalg.inv(stack))
+                           row_of_code, stack, np.linalg.inv(stack), identity)
 
-    def window_of(self, x: SymbolicPoint) -> Word:
-        k = self.window_radius
-        return x.window(-k, k)
+    def at(self, word: Word) -> np.ndarray:
+        """Value at the centre of a window word of odd length >= 2k + 1."""
+        mid, k = len(word) // 2, self.window_radius
+        return self.table[word[mid - k: mid + k + 1]]
+
+    def table_jsonable(self) -> dict:
+        """Window radius and table, keyed by :func:`~cocyclib.sft.word_key`,
+        as the CLI reads a cocycle."""
+        return {"window_radius": self.window_radius,
+                "table": {word_key(w): self.table[w].tolist() for w in sorted(self.table)}}
 
 
 def evaluate(a: LocallyConstantCocycle, x: SymbolicPoint) -> np.ndarray:
     """Generator value at x: the table entry of the window x_{-k}..x_{k}."""
-    return a.table[a.window_of(x)]
+    k = a.window_radius
+    return a.table[x.window(-k, k)]
 
 
 def _orbit_product(a: LocallyConstantCocycle, mats: np.ndarray,
@@ -172,16 +200,13 @@ def _orbit_product(a: LocallyConstantCocycle, mats: np.ndarray,
     """Rows of ``mats`` (stacked like ``a.kernel.stack``) for the windows
     along the orbit of x, left-multiplied onto the identity: the factors at
     0, ..., n-1 for n >= 0 and at -1, ..., n, in that order, for n < 0."""
+    if n == 0:
+        return np.eye(a.dimension)
     kern = a.kernel
-    k = a.window_radius
-    if n >= 0:
-        sym = x.window(-k, n - 1 + k)  # window t is centred at t
-        steps = range(n)
-    else:
-        sym = x.window(n - k, k - 1)  # window t is centred at n + t
-        steps = range(-n - 1, -1, -1)
-    result = np.eye(a.dimension)
-    for t in steps:
+    lo, hi = _orbit_span(a.window_radius, n)
+    sym = x.window(lo, hi)  # window t is centred at lo + k + t
+    result = kern.identity
+    for t in (range(n) if n > 0 else range(-n - 1, -1, -1)):
         result = mats[kern.index[sym[t:t + kern.width]]] @ result
     return result
 
@@ -229,14 +254,10 @@ def coboundary_conjugate(a: LocallyConstantCocycle,
     if u.dimension != a.dimension:
         raise ValueError("conjugator dimension does not match the cocycle")
     k = max(a.window_radius, u.window_radius + 1)
-    ka, ku = a.window_radius, u.window_radius
-    mid = k  # index of coordinate 0 inside a window word of length 2k+1
 
     def build(word: Word) -> np.ndarray:
-        a_val = a.table[word[mid - ka: mid + ka + 1]]
-        u_val = u.table[word[mid - ku: mid + ku + 1]]
-        u_shift = u.table[word[mid + 1 - ku: mid + 2 + ku]]
-        return u_shift @ a_val @ np.linalg.inv(u_val)
+        # word is x_{-k}..x_{k}, so word[2:] is centred at x_1
+        return u.at(word[2:]) @ a.at(word) @ np.linalg.inv(u.at(word))
 
     return LocallyConstantCocycle.from_function(a.q, k, build)
 

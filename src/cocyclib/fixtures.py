@@ -36,10 +36,6 @@ class UnipotentExample:
                                        # a = frame(shift x) b frame(x)^{-1}
     conjugator: LocallyConstantCocycle  # frame^{-1}, the map fed to the coboundary
 
-    def phi(self, word: Word) -> int:
-        """The frame parameter at a window word (its center symbol)."""
-        return word[len(word) // 2]
-
 
 def unipotent_example(q: TransitionMatrix | None = None) -> UnipotentExample:
     if q is None:

@@ -28,10 +28,6 @@ class HolonomyMap:
     matrix: np.ndarray
     stabilization_step: int
 
-    def inverse(self) -> "HolonomyMap":
-        return HolonomyMap(self.to_point, self.from_point, self.kind,
-                           np.linalg.inv(self.matrix), self.stabilization_step)
-
 
 def stable_holonomy(a: LocallyConstantCocycle, y: SymbolicPoint,
                     z: SymbolicPoint) -> HolonomyMap:

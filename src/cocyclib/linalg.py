@@ -240,7 +240,6 @@ class ConeParams:
     delta: float = 1.0
     sigma_cone: float = 0.5
     margin_d: float = 10.0
-    transversality_steps: int | None = None
 
     def __post_init__(self):
         if self.split[0] < 1 or self.split[1] < 1:

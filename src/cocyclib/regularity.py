@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycle import LocallyConstantCocycle, iterate
+from .cocycle import LocallyConstantCocycle, evaluate, iterate
 from .holonomy import composed_holonomy
 from .linalg import Flag, Subspace, largest_principal_angle
 from .measure import MarkovMeasure, sample_point
@@ -195,17 +195,10 @@ def _log_distortions(prods: np.ndarray) -> list[float]:
 def _block_costs(a: LocallyConstantCocycle, x: SymbolicPoint, n_steps: int,
                  count: int, direction: int) -> list[float]:
     """log distortion of the length-N block products along the orbit."""
-    k = a.window_radius
     kern = a.kernel
-    span = count * n_steps
-    if direction > 0:
-        # windows centred at 0..span-1, block j covering jN..jN+N-1
-        rows = kern.rows(x.window(-k, span - 1 + k)).reshape(count, n_steps)
-        mats = kern.stack
-    else:
-        # windows centred at -1, -2, ..., -span, block j starting at -jN-1
-        rows = kern.rows(x.window(-span - k, k - 1))[::-1].reshape(count, n_steps)
-        mats = kern.inverse
+    # block j holds the factors jN..jN+N-1 of A^(direction * count * N)
+    rows = kern.orbit_rows([x], direction * count * n_steps)[0].reshape(count, n_steps)
+    mats = kern.stack if direction > 0 else kern.inverse
     with np.errstate(over="ignore", invalid="ignore"):
         prods = kern.fold(mats, rows)
     if not np.all(np.isfinite(prods)):
@@ -279,21 +272,18 @@ def distortion_growth_slope(a: LocallyConstantCocycle, points: Sequence[Symbolic
     Both time directions are folded into |n|; returns the fitted slope and
     the per-|n| mean values.
     """
-    k = a.window_radius
     kern = a.kernel
     # The factors are the one-step products A(y) @ Id that iterate(a, y, 1)
     # returns, and their inverses; A @ Id does not keep the signed zeros of A.
     steps = kern.fold(kern.stack, np.arange(len(kern.stack))[:, None])
     inv_steps = np.linalg.inv(steps)
-    # windows centred at -n_max..n_max-1: column n_max + c is the centre c
-    symbols = np.array([x.window(-n_max - k, n_max - 1 + k) for x in points],
-                       dtype=np.int64).reshape(len(points), 2 * (n_max + k))
-    rows = kern.rows(symbols)
+    fwd_rows = kern.orbit_rows(points, n_max)
+    bwd_rows = kern.orbit_rows(points, -n_max)
     sums = np.zeros(n_max)
     fwd = bwd = None
     for n in range(1, n_max + 1):
-        fwd = kern.fold(steps, rows[:, n_max + n - 1, None], fwd)
-        bwd = kern.fold(inv_steps, rows[:, n_max - n, None], bwd)
+        fwd = kern.fold(steps, fwd_rows[:, n - 1, None], fwd)
+        bwd = kern.fold(inv_steps, bwd_rows[:, n - 1, None], bwd)
         for f, b in zip(_log_distortions(fwd), _log_distortions(bwd)):
             sums[n - 1] += f + b
     counts = np.full(n_max, 2.0 * len(points))
@@ -407,7 +397,7 @@ def flag_transport(a: LocallyConstantCocycle, flag_at_base: Flag,
             if 0 < s_us.dim < s_us.ambient_dim:
                 max_path = max(max_path, largest_principal_angle(s_us, s_su))
         flag_next, bases_next = transport(pt.shifted(1), "us")
-        a_val = a.table[a.window_of(pt)]
+        a_val = evaluate(a, pt)
         for i, (s_here, s_next) in enumerate(zip(flag_us.subspaces,
                                                  flag_next.subspaces)):
             if 0 < s_here.dim < s_here.ambient_dim:

@@ -36,6 +36,18 @@ def as_word(word: Sequence[int] | str) -> Word:
     return tuple(int(s) for s in word)
 
 
+def word_key(word: Sequence[int]) -> str:
+    """Symbols joined by spaces.  A one-symbol word past 9 gets a trailing
+    space, since "12" reads back as the digit string 1 2."""
+    key = " ".join(map(str, word))
+    return key + " " if len(word) == 1 and word[0] > 9 else key
+
+
+def parse_word_key(key: str) -> Word:
+    """Inverse of :func:`word_key`; a key without spaces is a digit string."""
+    return tuple(int(s) for s in key.split()) if " " in key else as_word(key)
+
+
 @dataclass(frozen=True)
 class MetricParams:
     """Scale parameter of the metric exp(-tau * N(x, y))."""

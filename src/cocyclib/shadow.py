@@ -226,9 +226,7 @@ def angle_experiment(a: LocallyConstantCocycle, flag: Flag, spec: ShadowSpec,
     growth = math.log(np.linalg.norm(ret_full, 2))
     member = None if params is None else bool(block_membership_periodic(a, p, params))
 
-    k = a.window_radius
-    sym = pt.window(-k, u_m - 1 + k)
-    factors = [a.table[sym[j:j + 2 * k + 1]] for j in range(u_m)]
+    factors = a.kernel.stack[a.kernel.orbit_rows([pt], u_m)[0]]
     for term_idx, term in enumerate(flag.proper_terms()):
         if term.dim == 0:
             continue

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cocycle import LocallyConstantCocycle, coboundary_conjugate, iterate
+from .cocycle import LocallyConstantCocycle, coboundary_conjugate, evaluate, iterate
 from .holonomy import stable_holonomy, unstable_holonomy
 from .linalg import condition_number
 from .sft import (
@@ -131,12 +131,8 @@ class TransferEvaluator:
                 for w in self.basepoints
             ],
             "base_values": [np.asarray(v).tolist() for v in self.base_values],
-            "cocycles": {
-                name: {"window_radius": c.window_radius,
-                       "table": {" ".join(map(str, w)): m.tolist()
-                                 for w, m in sorted(c.table.items())}}
-                for name, c in (("a", self.cocycle_a), ("b", self.cocycle_b))
-            },
+            "cocycles": {"a": self.cocycle_a.table_jsonable(),
+                         "b": self.cocycle_b.table_jsonable()},
         }
 
 
@@ -181,11 +177,6 @@ def embed_corner(corner: np.ndarray, di: int, dj: int) -> np.ndarray:
     return out
 
 
-def _refined_value(a: LocallyConstantCocycle, word: Word, radius: int) -> np.ndarray:
-    k = a.window_radius
-    return a.table[word[radius - k: radius + k + 1]]
-
-
 def _check_membership(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
                       desc: ZimmerDescriptor, tol: float) -> None:
     for cocycle, name in ((a, "first"), (b, "second")):
@@ -201,8 +192,7 @@ def _block_difference(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
     radius = max(a.window_radius, b.window_radius)
     worst = 0.0
     for w in admissible_words(a.q, 2 * radius + 1):
-        va = _refined_value(a, w, radius)
-        vb = _refined_value(b, w, radius)
+        va, vb = a.at(w), b.at(w)
         for i, j in blocks:
             worst = max(worst, float(np.max(np.abs(
                 desc.block(va, i, j) - desc.block(vb, i, j)))))
@@ -364,8 +354,7 @@ class PeeledEvaluator:
             # The materialized stage tables agree with the us-ordered
             # transport by construction; lookups are much cheaper.
             for table in self.stage_tables:
-                k = table.window_radius
-                out = table.table[x.window(-k, k)] @ out
+                out = evaluate(table, x) @ out
             return out
         for stage in self.stages:
             out = stage.evaluate(x, order=order) @ out
@@ -375,15 +364,8 @@ class PeeledEvaluator:
         return self.evaluate(x, order)
 
     def to_jsonable(self) -> dict:
-        tables = []
-        for name, table in zip(self.stage_names, self.stage_tables):
-            entry = {
-                "stage": name,
-                "window_radius": table.window_radius,
-                "table": {" ".join(map(str, w)): m.tolist()
-                          for w, m in sorted(table.table.items())},
-            }
-            tables.append(entry)
+        tables = [{"stage": name, **table.table_jsonable()}
+                  for name, table in zip(self.stage_names, self.stage_tables)]
         return {
             "rule": "superdiagonal-peel",
             "basepoints": [list(w.window(-4, 4)) for w in self.basepoints],
@@ -511,8 +493,8 @@ def conjugacy_residual(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
                        evaluator, x: SymbolicPoint, order: str = "us") -> float:
     c_here = propagate(evaluator, x, order)
     c_next = propagate(evaluator, x.shifted(1), order)
-    lhs = a.table[a.window_of(x)]
-    rhs = c_next @ b.table[b.window_of(x)] @ np.linalg.inv(c_here)
+    lhs = evaluate(a, x)
+    rhs = c_next @ evaluate(b, x) @ np.linalg.inv(c_here)
     return float(np.max(np.abs(lhs - rhs)))
 
 

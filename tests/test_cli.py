@@ -5,7 +5,11 @@ import pathlib
 
 import pytest
 
-from cocyclib.cli import ConfigError, emit, load_config, main, run
+import numpy as np
+
+from cocyclib.cli import ConfigError, build_cocycle, emit, load_config, main, run
+from cocyclib.cocycle import LocallyConstantCocycle
+from cocyclib.sft import full_shift
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -124,6 +128,48 @@ def test_cli_exit_codes(tmp_path):
     cfg = load("exponents")
     mismatched.write_text(json.dumps(cfg))
     assert main(["holonomy", "--config", str(mismatched)]) == 2
+
+
+def _bad_n(cfg):
+    cfg["experiment"]["n"] = "x"
+
+
+def _bad_word_budget(cfg):
+    cfg["experiment"]["budgets"] = {"words": "lots"}
+
+
+def _bad_block_dims(cfg):
+    cfg["descriptor"]["block_dims"] = [0, 2]
+
+
+def _bad_table_key(cfg):
+    table = cfg["cocycle"]["table"]
+    table["0a1"] = table.pop("0")
+
+
+@pytest.mark.parametrize("kind, corrupt, path", [
+    ("exponents", _bad_n, "$.experiment.n"),
+    ("exponents", _bad_word_budget, "$.experiment.budgets.words"),
+    ("reconstruct", _bad_block_dims, "$.descriptor.block_dims"),
+    ("reconstruct", _bad_table_key, "$.cocycle.table.0a1"),
+])
+def test_malformed_value_exits_2_with_key_path(kind, corrupt, path, tmp_path, capsys):
+    cfg = load(kind)
+    corrupt(cfg)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main([kind, "--config", str(bad)]) == 2
+    assert f"config error at {path}:" in capsys.readouterr().err
+
+
+def test_table_json_round_trip_past_nine_symbols():
+    # window-0 keys of a 12-symbol table are one symbol each, "11 " included
+    q = full_shift(12)
+    a = LocallyConstantCocycle.from_function(
+        q, 0, lambda w: np.diag([1.0 + w[0], 1.0]))
+    back = build_cocycle({"cocycle": a.table_jsonable()}, q)
+    assert back.table.keys() == a.table.keys()
+    assert all(np.array_equal(back.table[w], m) for w, m in a.table.items())
 
 
 def test_exponents_constant_diagonal_report():

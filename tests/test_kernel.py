@@ -11,7 +11,7 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocyclib import regularity
@@ -160,6 +160,45 @@ def test_backward_iterate_equals_inverse_factor_loop(n, n_symbols, radius, dim, 
     inv = inverse_cocycle(a)
     assert same_bits(backward_product(inv, x, abs(n)),
                      reference_inverted_table_product(inv, x, abs(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(-12, 12), n_points=st.integers(0, 4), **systems)
+@example(n=0, n_points=2, n_symbols=2, radius=2, dim=1, seed=0)
+@example(n=-12, n_points=0, n_symbols=3, radius=1, dim=1, seed=0)
+def test_orbit_rows_equal_per_window_lookups(n, n_points, n_symbols, radius, dim, seed):
+    mu, a, rng = random_system(n_symbols, radius, dim, seed)
+    kern = a.kernel
+    points = [sample_point(mu, rng, int(rng.integers(1, 12)), start=int(rng.integers(-8, 3)))
+              for _ in range(n_points)]
+    # product order: the factors at 0, 1, ..., n-1, or at -1, -2, ..., n for n < 0
+    centres = range(n) if n >= 0 else range(-1, n - 1, -1)
+    expected = [[kern.index[x.window(c - radius, c + radius)] for c in centres]
+                for x in points]
+    got = kern.orbit_rows(points, n)
+    assert got.shape == (n_points, abs(n))
+    assert got.tolist() == expected
+    assert kern.orbit_rows([], n).shape == (0, abs(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(extra=st.integers(0, 2), **systems)
+def test_at_reads_the_centred_window(extra, n_symbols, radius, dim, seed):
+    _, a, _ = random_system(n_symbols, radius, dim, seed)
+    for w in admissible_words(a.q, 2 * (radius + extra) + 1):
+        assert a.at(w) is a.table[w[extra:extra + 2 * radius + 1]]
+
+
+def test_orbit_products_return_fresh_arrays(q2, mu2, rng):
+    # single orbit products start from one cached identity, which never leaks
+    a = mixed_two_block_cocycle(q2)
+    x = sample_point(mu2, rng, 10)
+    for n in (0, 1, -1, 3, -3):
+        m = iterate(a, x, n)
+        assert m.flags.writeable and m is not a.kernel.identity
+        m[...] = 7.0
+    assert same_bits(iterate(a, x, 0), np.eye(a.dimension))
+    assert same_bits(a.kernel.identity, np.eye(a.dimension))
 
 
 @settings(max_examples=40, deadline=None)

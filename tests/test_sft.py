@@ -22,6 +22,7 @@ from cocyclib.sft import (
     golden_mean_shift,
     is_admissible,
     is_cyclically_admissible,
+    parse_word_key,
     periodic_point,
     point,
     same_future,
@@ -31,6 +32,7 @@ from cocyclib.sft import (
     splice_future,
     splice_past,
     validate_point,
+    word_key,
 )
 
 
@@ -353,3 +355,26 @@ def test_close_word_matches_brute_force(case, offset):
     for a, b in forbidden:
         with pytest.raises(ValueError, match="not admissible"):
             close_word(q, w + (a, b) if q.allows(w[-1], a) else (a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(word=st.lists(st.integers(0, 30), max_size=8).map(tuple))
+@example(word=())
+@example(word=(7,))
+@example(word=(12,))
+@example(word=(1, 2))
+def test_word_key_round_trip(word):
+    assert parse_word_key(word_key(word)) == word
+
+
+def test_word_key_format():
+    # keys of bundled configs and reports: space-separated symbols
+    assert word_key((0, 1, 1)) == "0 1 1"
+    assert word_key((3,)) == "3"
+    assert word_key((10, 2)) == "10 2"
+    # digit strings are accepted as input; "12" is the word (1, 2)
+    assert parse_word_key("011") == (0, 1, 1)
+    assert parse_word_key("12") == (1, 2)
+    assert parse_word_key(word_key((12,))) == (12,)
+    with pytest.raises(ValueError):
+        parse_word_key("0a1")
