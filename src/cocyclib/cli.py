@@ -95,6 +95,24 @@ def _value(section: dict, path: str, convert: Callable, default: Any = None):
         return convert(section.get(key, default))
 
 
+def _object(value: Any, path: str) -> dict:
+    """The value at a key path that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected a JSON object")
+    return value
+
+
+def _list_of(valid: Callable[[Any], bool], what: str) -> Callable[[list], list]:
+    """A converter for :func:`_value` that checks every item of a list and
+    returns the list unchanged, so that an integer such as 1 is not written
+    back as 1.0."""
+    def check(values: Any) -> list:
+        if not isinstance(values, list) or not all(map(valid, values)):
+            raise ValueError(f"expected a list of {what}")
+        return values
+    return check
+
+
 def build_system(cfg: dict) -> tuple[TransitionMatrix, MetricParams]:
     sys_cfg = _value(cfg, "$.system", dict)
     q = _value(sys_cfg, "$.system.transition_matrix", TransitionMatrix.from_rows)
@@ -286,8 +304,13 @@ def _run_blocks(cfg, q, metric, exp, rng, budgets):
                          "period": period, "member": bool(exact)})
     probe_rows = []
     n_probe = min(_value(exp, "$.experiment.probe_points", int, 5), budgets["samples"])
-    grid_n = exp.get("probe_n_grid", [1, 2, 4])
-    grid_theta = exp.get("probe_theta_grid", [0.25, 0.5, 1.0, 2.0, 4.0])
+    grid_n = _value(exp, "$.experiment.probe_n_grid",
+                    _list_of(lambda v: type(v) is int and v >= 1, "positive integers"),
+                    [1, 2, 4])
+    grid_theta = _value(exp, "$.experiment.probe_theta_grid",
+                        _list_of(lambda v: type(v) in (int, float) and 0 < v < math.inf,
+                                 "positive numbers"),
+                        [0.25, 0.5, 1.0, 2.0, 4.0])
     for idx in range(n_probe):
         x = sample_point(mu, rng, 16)
         found = smallest_passing_params(a, x, grid_n, grid_theta, s_max)
@@ -320,8 +343,8 @@ def _run_shadow(cfg, q, metric, exp, rng, budgets):
     tables = {"growth": table["rows"]}
     checks = []
     if "flag_dims" in exp:
-        dims = _value(exp, "$.experiment.flag_dims", lambda v: [int(d) for d in v])
-        flag = Flag(tuple(Subspace.standard(a.dimension, range(k)) for k in dims))
+        flag = _value(exp, "$.experiment.flag_dims", lambda dims: Flag(tuple(
+            Subspace.standard(a.dimension, range(int(k))) for k in dims)))
         with _config_value("$.experiment"):
             cone = ConeParams(tuple(exp.get("cone_split", (1, a.dimension - 1))),
                               _value(exp, "$.experiment.cone_mu", float, 2.0),
@@ -470,7 +493,7 @@ def run(config: dict) -> dict:
     exp = experiment_params(config)
     seed = _value(exp, "$.experiment.seed", int)
     rng = np.random.default_rng(seed)
-    budget_cfg = exp.get("budgets", {})
+    budget_cfg = _object(exp.get("budgets", {}), "$.experiment.budgets")
     budgets = {key: _value(budget_cfg, f"$.experiment.budgets.{key}", int, default)
                for key, default in (("words", DEFAULT_WORD_BUDGET),
                                     ("samples", DEFAULT_SAMPLE_BUDGET))}
@@ -547,8 +570,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         p.add_argument("--budget-samples", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
-        exp = config.setdefault("experiment", {})
+        config = _object(load_config(args.config), "$")
+        exp = _object(config.setdefault("experiment", {}), "$.experiment")
         if exp.get("kind", args.kind) != args.kind:
             raise ConfigError("$.experiment.kind",
                               f"config kind {exp.get('kind')!r} does not match "
@@ -556,7 +579,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         exp["kind"] = args.kind
         if args.seed is not None:
             exp["seed"] = args.seed
-        budgets = exp.setdefault("budgets", {})
+        budgets = _object(exp.setdefault("budgets", {}), "$.experiment.budgets")
         if args.budget_words is not None:
             budgets["words"] = args.budget_words
         if args.budget_samples is not None:

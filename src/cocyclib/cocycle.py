@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -217,6 +217,24 @@ def iterate(a: LocallyConstantCocycle, x: SymbolicPoint, n: int) -> np.ndarray:
     kern = a.kernel
     with np.errstate(over="ignore", invalid="ignore"):
         result = _orbit_product(a, kern.stack if n >= 0 else kern.inverse, x, n)
+    if not np.all(np.isfinite(result)):
+        raise OverflowError(
+            f"orbit product at n={n} exceeded floating point range"
+        )
+    return result
+
+
+def iterate_many(a: LocallyConstantCocycle, points: Sequence[SymbolicPoint],
+                 n: int) -> np.ndarray:
+    """The (len(points), d, d) stack of A^n(x) over the points.  Each entry
+    is formed like :func:`iterate`, from the identity with the same factors
+    in the same order, so it equals ``iterate(a, x, n)`` bit for bit, and
+    it raises the same OverflowError.  At n = 0 no window is read."""
+    kern = a.kernel
+    rows = (kern.orbit_rows(points, n) if n
+            else np.empty((len(points), 0), dtype=np.int64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = kern.fold(kern.stack if n >= 0 else kern.inverse, rows)
     if not np.all(np.isfinite(result)):
         raise OverflowError(
             f"orbit product at n={n} exceeded floating point range"

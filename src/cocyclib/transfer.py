@@ -23,7 +23,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cocycle import LocallyConstantCocycle, coboundary_conjugate, evaluate, iterate
+from .cocycle import (
+    LocallyConstantCocycle,
+    coboundary_conjugate,
+    evaluate,
+    iterate,
+    iterate_many,
+)
 from .holonomy import stable_holonomy, unstable_holonomy
 from .linalg import condition_number
 from .sft import (
@@ -38,6 +44,8 @@ from .sft import (
     close_word,
     distance,
     periodic_point,
+    same_future,
+    same_past,
     shortest_return_cycle,
 )
 from .zimmer import ZimmerDescriptor, membership
@@ -75,6 +83,52 @@ def _leg(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
         ha = unstable_holonomy(a, frm, to).matrix
         hb = unstable_holonomy(b, frm, to).matrix
     return ha @ value @ np.linalg.inv(hb)
+
+
+class _Transport:
+    """Two-leg transport from the basepoints to a batch of points, laid out
+    once and shared by every evaluator of a stage.
+
+    Builds the bracket point of each point and checks the precondition of
+    both legs once per point; :meth:`holonomies` then gives a cocycle's
+    holonomies along a leg at all points at once, each bit for bit the
+    per-point one.
+    """
+
+    def __init__(self, basepoints: Sequence[SymbolicPoint],
+                 points: Sequence[SymbolicPoint], order: str = "us"):
+        symbols = np.array([x[0] for x in points], dtype=np.int64)
+        if order == "us":
+            mids = [bracket(x, basepoints[i]) for x, i in zip(points, symbols)]
+            kinds = ("stable", "unstable")
+        elif order == "su":
+            mids = [bracket(basepoints[i], x) for x, i in zip(points, symbols)]
+            kinds = ("unstable", "stable")
+        else:
+            raise ValueError(f"unknown transport order {order!r}")
+        for x, i, mid in zip(points, symbols, mids):
+            for kind, frm, to in ((kinds[0], basepoints[i], mid), (kinds[1], mid, x)):
+                same = same_future if kind == "stable" else same_past
+                if not same(frm, to):
+                    raise ValueError(f"points do not lie on a common local {kind} set")
+        self.symbols = symbols
+        # (kind, from, to); an end is its points and, for the basepoints,
+        # the index that gathers one per point.
+        self.legs = ((kinds[0], (basepoints, symbols), (mids, None)),
+                     (kinds[1], (mids, None), (points, None)))
+
+    @staticmethod
+    def _products(a: LocallyConstantCocycle, end, n: int) -> np.ndarray:
+        points, gather = end
+        products = iterate_many(a, points, n)
+        return products if gather is None else products[gather]
+
+    def holonomies(self, a: LocallyConstantCocycle, leg) -> np.ndarray:
+        """The leg's holonomy of ``a`` at every point: solve(A^k(to),
+        A^k(from)), with A^{-k} on an unstable leg."""
+        kind, frm, to = leg
+        n = a.window_radius if kind == "stable" else -a.window_radius
+        return np.linalg.solve(self._products(a, to, n), self._products(a, frm, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +174,15 @@ class TransferEvaluator:
 
     def __call__(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
         return self.evaluate(x, order)
+
+    def tabulate(self, paths: _Transport) -> np.ndarray:
+        """:meth:`evaluate` at every point of ``paths``, as one stack formed
+        with the same operations in the same order."""
+        value = np.array(self.base_values, dtype=float)[paths.symbols]
+        for leg in paths.legs:
+            value = ((paths.holonomies(self.cocycle_a, leg) @ value)
+                     @ np.linalg.inv(paths.holonomies(self.cocycle_b, leg)))
+        return value
 
     def to_jsonable(self) -> dict:
         return {
@@ -199,19 +262,26 @@ def _block_difference(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
     return worst
 
 
-def materialize(q: TransitionMatrix, func: Callable[[SymbolicPoint], np.ndarray],
+def materialize(q: TransitionMatrix,
+                func: Callable[[list[SymbolicPoint]], np.ndarray],
                 radius: int, dimension: int,
                 budget: int = MATERIALIZE_BUDGET) -> LocallyConstantCocycle:
-    """Tabulate a locally constant point function over admissible windows."""
+    """Tabulate a locally constant point function over admissible windows.
+
+    ``func`` takes the closed representatives of all windows, in
+    lexicographic window order, and returns their values as one
+    (windows, dimension, dimension) stack.
+    """
     if q.size ** (2 * radius + 1) > budget:
         raise BudgetExceededError(
             f"materializing a window-{radius} table exceeds the budget"
         )
-    table = {}
-    for w in admissible_words(q, 2 * radius + 1):
-        rep = close_word(q, w, origin_offset=radius)
-        table[w] = func(rep)
-    return LocallyConstantCocycle(q, radius, dimension, table)
+    words = list(admissible_words(q, 2 * radius + 1))
+    values = func([close_word(q, w, origin_offset=radius) for w in words])
+    # Each entry gets its own array: numpy operations on a view into the
+    # stack cost about a tenth more, and tables are read point by point.
+    return LocallyConstantCocycle(q, radius, dimension,
+                                  {w: v.copy() for w, v in zip(words, values)})
 
 
 def minimize_table(a: LocallyConstantCocycle, tol: float = 1e-13) -> LocallyConstantCocycle:
@@ -255,19 +325,42 @@ class CornerEvaluator:
     diag_tol: float = 1e-8
 
     def evaluate(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
-        m = self.subsystem.evaluate(x, order=order)
-        di = self.d_top
-        eye_res = max(
-            float(np.max(np.abs(m[:di, :di] - np.eye(di)))),
-            float(np.max(np.abs(m[di:, di:] - np.eye(self.d_bottom)))),
-            float(np.max(np.abs(m[di:, :di]))),
-        )
-        if eye_res > self.diag_tol:
-            raise StageError("corner-transport-diagonal", eye_res, self.diag_tol)
-        return m[:di, di:]
+        corner, residual = self._split(self.subsystem.evaluate(x, order=order))
+        if residual > self.diag_tol:
+            raise StageError("corner-transport-diagonal", float(residual), self.diag_tol)
+        return corner
 
     def __call__(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
         return self.evaluate(x, order)
+
+    def tabulate(self, paths: _Transport) -> np.ndarray:
+        """:meth:`evaluate` at every point of ``paths``, as one stack."""
+        corner, residual = self._split(self.subsystem.tabulate(paths))
+        _check_corners([(residual, self.diag_tol)])
+        return corner
+
+    def _split(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Corner block of subsystem values (d, d) or (W, d, d), and how far
+        each value's diagonal blocks are from the identity and its lower
+        block from zero."""
+        di = self.d_top
+        residual = np.maximum.reduce([
+            np.max(np.abs(m[..., :di, :di] - np.eye(di)), axis=(-2, -1)),
+            np.max(np.abs(m[..., di:, di:] - np.eye(self.d_bottom)), axis=(-2, -1)),
+            np.max(np.abs(m[..., di:, :di]), axis=(-2, -1)),
+        ])
+        return m[..., :di, di:], residual
+
+
+def _check_corners(checks: Sequence[tuple[np.ndarray, float]]) -> None:
+    """Raise for the first point, and at it the first corner, whose
+    diagonal residual exceeds its tolerance; ``checks`` holds one (residual
+    per point, tolerance) pair per corner."""
+    failed = np.flatnonzero(np.column_stack([res > tol for res, tol in checks]))
+    if failed.size:
+        point, corner = divmod(int(failed[0]), len(checks))
+        residual, tol = checks[corner]
+        raise StageError("corner-transport-diagonal", float(residual[point]), tol)
 
 
 def two_block_recover(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
@@ -313,6 +406,15 @@ class _DiagonalStage:
             out[o[t]:o[t + 1], o[t]:o[t + 1]] = ev.evaluate(x, order=order)
         return out
 
+    def tabulate(self, paths: _Transport) -> np.ndarray:
+        """:meth:`evaluate` at every point of ``paths``, as one stack."""
+        d = self.descriptor.dim
+        o = self.descriptor.offsets()
+        out = np.zeros((len(paths.symbols), d, d))
+        for t, ev in enumerate(self.evaluators):
+            out[:, o[t]:o[t + 1], o[t]:o[t + 1]] = ev.tabulate(paths)
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class _OffsetStage:
@@ -327,6 +429,21 @@ class _OffsetStage:
         for i, ev in self.corners:
             j = i + self.offset
             out[o[i]:o[i + 1], o[j]:o[j + 1]] = ev.evaluate(x, order=order)
+        return out
+
+    def tabulate(self, paths: _Transport) -> np.ndarray:
+        """:meth:`evaluate` at every point of ``paths``, as one stack; the
+        corner checks run point by point, as they do there."""
+        d = self.descriptor.dim
+        o = self.descriptor.offsets()
+        out = np.tile(np.eye(d), (len(paths.symbols), 1, 1))
+        checks = []
+        for i, ev in self.corners:
+            j = i + self.offset
+            corner, residual = ev._split(ev.subsystem.tabulate(paths))
+            checks.append((residual, ev.diag_tol))
+            out[:, o[i]:o[i + 1], o[j]:o[j + 1]] = corner
+        _check_corners(checks)
         return out
 
 
@@ -408,7 +525,7 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
     def install_stage(stage, name: str, check_blocks) -> None:
         nonlocal b_current, cond_scale
         radius = 2 * max(a.window_radius, b_current.window_radius)
-        table = materialize(a.q, lambda pt: stage.evaluate(pt, order="us"),
+        table = materialize(a.q, lambda reps: stage.tabulate(_Transport(basepoints, reps)),
                             radius, desc.dim)
         table = minimize_table(table)
         if not _is_identity_table(table):

@@ -1,9 +1,13 @@
-"""Every library name the benchmark tracer rebinds still exists.
+"""Every library name the benchmark tracer rebinds still exists, and the
+tracer still sees the peel's work.
 
 ``perfbench/tracing.py`` wraps library functions and evaluator methods by
 name (its ``FUNCTIONS`` and ``METHODS`` tables).  Renaming or deleting one
-of them breaks the benchmark, so this test enters and leaves the tracer
-and checks that each name was found, wrapped and put back.
+of them breaks the benchmark, so one test enters and leaves the tracer and
+checks that each name was found, wrapped and put back.  Another runs a peel
+with and without the tracer: the tables must not change, and the tracer's
+``transfer.materialize.windows`` must count every window the peel
+tabulated, which it does only while each stage goes through ``materialize``.
 """
 
 import importlib
@@ -12,7 +16,11 @@ import pathlib
 import pkgutil
 import sys
 
+import numpy as np
+
 import cocyclib
+from cocyclib import cocycle, fixtures, transfer
+from cocyclib.zimmer import ZimmerDescriptor
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -52,3 +60,33 @@ def test_tracer_resolves_and_restores_every_name():
         assert all(after[k] is v for k, v in before.items()), name
     for (m, cls, meth), raw in methods.items():
         assert vars(getattr(lib[m], cls))[meth] is raw
+
+
+def test_traced_peel_equals_untraced_and_counts_its_windows(monkeypatch):
+    tracing = load_tracing()
+    desc = ZimmerDescriptor((1, 1, 1), 0.0)
+    fix = fixtures.peel_fixture(seed=5, dims=desc.block_dims, conjugator_window=1)
+    seeds = [np.linalg.inv(cocycle.evaluate(fix.conjugator, w))
+             for w in transfer.default_basepoints(fix.base.q)]
+
+    def tables(ev):
+        return ev.stage_names, [(t.window_radius, [(w, t.table[w].tobytes())
+                                                   for w in sorted(t.table)])
+                                for t in ev.stage_tables]
+
+    plain = transfer.superdiagonal_peel(fix.base, fix.result, desc, seeds)
+    sizes = []
+    materialize = transfer.materialize
+
+    def recording(*args, **kwargs):
+        table = materialize(*args, **kwargs)
+        sizes.append(len(table.table))
+        return table
+
+    monkeypatch.setattr(transfer, "materialize", recording)
+    with tracing.Tracer() as tracer:
+        traced = transfer.superdiagonal_peel(fix.base, fix.result, desc, seeds)
+    assert tables(traced) == tables(plain)
+    assert len(sizes) == desc.num_blocks  # the diagonal stage and each offset
+    windows, _ = tracing.layer_metrics(tracer, 1)["transfer.materialize.windows"]
+    assert windows == sum(sizes) > 0

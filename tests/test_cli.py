@@ -147,11 +147,31 @@ def _bad_table_key(cfg):
     table["0a1"] = table.pop("0")
 
 
+def _list_budgets(cfg):
+    cfg["experiment"]["budgets"] = [1]
+
+
+def _bad_theta_grid(cfg):
+    cfg["experiment"]["probe_theta_grid"] = ["a"]
+
+
+def _bad_n_grid(cfg):
+    cfg["experiment"]["probe_n_grid"] = [0.5]
+
+
+def _bad_flag_dims(cfg):
+    cfg["experiment"]["flag_dims"] = [1]
+
+
 @pytest.mark.parametrize("kind, corrupt, path", [
     ("exponents", _bad_n, "$.experiment.n"),
     ("exponents", _bad_word_budget, "$.experiment.budgets.words"),
+    ("exponents", _list_budgets, "$.experiment.budgets"),
     ("reconstruct", _bad_block_dims, "$.descriptor.block_dims"),
     ("reconstruct", _bad_table_key, "$.cocycle.table.0a1"),
+    ("blocks", _bad_theta_grid, "$.experiment.probe_theta_grid"),
+    ("blocks", _bad_n_grid, "$.experiment.probe_n_grid"),
+    ("shadow", _bad_flag_dims, "$.experiment.flag_dims"),
 ])
 def test_malformed_value_exits_2_with_key_path(kind, corrupt, path, tmp_path, capsys):
     cfg = load(kind)
@@ -160,6 +180,34 @@ def test_malformed_value_exits_2_with_key_path(kind, corrupt, path, tmp_path, ca
     bad.write_text(json.dumps(cfg))
     assert main([kind, "--config", str(bad)]) == 2
     assert f"config error at {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, path", [
+    ("[1, 2]", "$"),
+    ('{"experiment": [1]}', "$.experiment"),
+])
+def test_config_that_is_not_an_object_exits_2(text, path, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["exponents", "--config", str(bad)]) == 2
+    assert f"config error at {path}:" in capsys.readouterr().err
+
+
+def test_run_rejects_budgets_that_are_not_an_object():
+    cfg = load("exponents")
+    cfg["experiment"]["budgets"] = [1]
+    with pytest.raises(ConfigError, match=r"at \$\.experiment\.budgets:"):
+        run(cfg)
+
+
+def test_probe_grids_keep_their_values():
+    # an integer theta stays an integer in the report
+    cfg = load("blocks")
+    cfg["experiment"]["probe_n_grid"] = [1]
+    cfg["experiment"]["probe_theta_grid"] = [1000]
+    rows = run(cfg)["tables"]["probe"]
+    assert rows and all(r["theta_star"] in (None, 1000) for r in rows)
+    assert any(type(r["theta_star"]) is int for r in rows)
 
 
 def test_table_json_round_trip_past_nine_symbols():

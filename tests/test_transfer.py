@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cocyclib.cocycle import (
     LocallyConstantCocycle,
@@ -14,11 +17,21 @@ from cocyclib.fixtures import (
     rotation,
     unipotent_example,
 )
-from cocyclib.measure import sample_point
-from cocyclib.sft import MetricParams, fixed_point
+from cocyclib.holonomy import stable_holonomy, unstable_holonomy
+from cocyclib.measure import golden_mean_markov, sample_point, uniform_bernoulli
+from cocyclib.sft import (
+    MetricParams,
+    admissible_words,
+    bracket,
+    close_word,
+    fixed_point,
+    full_shift,
+    golden_mean_shift,
+)
 from cocyclib.transfer import (
     StageError,
     TransferEvaluator,
+    _Transport,
     conjugacy_residual,
     default_basepoints,
     holder_estimate,
@@ -29,7 +42,7 @@ from cocyclib.transfer import (
     two_block_recover,
     verify_conjugacy,
 )
-from cocyclib.zimmer import ZimmerDescriptor, membership
+from cocyclib.zimmer import ZimmerDescriptor, haar_orthogonal, membership
 
 DESC2 = ZimmerDescriptor((1, 1), 0.0)
 DESC4 = ZimmerDescriptor((1, 1, 1, 1), 0.0)
@@ -287,7 +300,7 @@ def test_periodic_consistency_commuting_centralizer(q2):
 
 def test_materialize_and_minimize(q2):
     a = mild_random_cocycle(q2, 0, seed=3)
-    table = materialize(q2, lambda x: evaluate(a, x), 2, 2)
+    table = materialize(q2, lambda xs: np.array([evaluate(a, x) for x in xs]), 2, 2)
     assert table.window_radius == 2
     small = minimize_table(table)
     assert small.window_radius == 0
@@ -405,3 +418,113 @@ def test_peel_on_constrained_and_multi_symbol_shifts(rng):
         ev = superdiagonal_peel(a, b, ZimmerDescriptor(dims, 0.0), seeds)
         pts = [sample_point(mu, rng, 14) for _ in range(120)]
         assert max(conjugacy_residual(a, b, ev, x) for x in pts) <= 1e-12
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _rotated_fixture(seed, dims, q, window):
+    """peel_fixture's pair, with B conjugated once more by window-0
+    orthogonal diagonal blocks (random for d > 1, a sign for d = 1 that is
+    -1 on symbol t % 2 of block t), so that the diagonal stage is kept.
+    B's zeros below the blocks are written as -0.0, whose sign only an
+    unchanged order of operations keeps.  Returns A, B and the conjugator's
+    values at the basepoints."""
+    fix = peel_fixture(seed=seed, dims=dims, q=q, conjugator_window=window)
+    gen = np.random.default_rng(seed)
+    o = ZimmerDescriptor(dims, 0.0).offsets()
+
+    def blocks(w):
+        m = np.zeros((o[-1], o[-1]))
+        for t, d in enumerate(dims):
+            m[o[t]:o[t + 1], o[t]:o[t + 1]] = (haar_orthogonal(gen, d) if d > 1
+                                               else 1.0 - 2.0 * (w[0] == t % 2))
+        return m
+
+    rot = LocallyConstantCocycle.from_function(q, 0, blocks)
+    b = coboundary_conjugate(fix.result, rot)
+    block_of = np.repeat(np.arange(len(dims)), dims)
+    below = block_of[:, None] > block_of[None, :]
+    b = LocallyConstantCocycle(q, b.window_radius, b.dimension,
+                               {w: np.where(below, -0.0, m) for w, m in b.table.items()})
+    return fix.base, b, [evaluate(rot, w) @ evaluate(fix.conjugator, w)
+                         for w in default_basepoints(q)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       dims=st.sampled_from([(1, 1), (1, 1, 1), (2, 1)]),
+       window=st.integers(0, 1), golden=st.booleans())
+@example(seed=3, dims=(2, 1), window=0, golden=False)
+def test_batched_stages_equal_per_window_transport(seed, dims, window, golden):
+    # exact equality: the batched transport must do the per-point arithmetic
+    # in the same order, from the same identity start
+    q, mu = ((golden_mean_shift(), golden_mean_markov()) if golden
+             else (full_shift(2), uniform_bernoulli(2)))
+    a, b, c = _rotated_fixture(seed, dims, q, window)
+    rng = np.random.default_rng(seed)
+    words = list(admissible_words(q, 5))
+    points = [close_word(q, words[i], origin_offset=2)
+              for i in rng.choice(len(words), 6, replace=False)]
+    points += [sample_point(mu, rng, 10) for _ in range(3)]
+    bps = default_basepoints(q)
+    desc = ZimmerDescriptor(dims, 0.0)
+    # A has window 0, so its holonomies are the identity: peel the pair in
+    # both directions, so that both cocycles of a leg have nontrivial ones.
+    for ev in (superdiagonal_peel(a, b, desc, [np.linalg.inv(m) for m in c]),
+               superdiagonal_peel(b, a, desc, c)):
+        assert ev.stage_names[0] == "diagonal"
+        for stage in ev.stages:
+            assert same_bits(stage.tabulate(_Transport(bps, points)),
+                             [stage.evaluate(x, "us") for x in points])
+        transports = [t for stage in ev.stages for t in getattr(stage, "evaluators", ())]
+        transports += [corner.subsystem for stage in ev.stages
+                       for _, corner in getattr(stage, "corners", ())]
+        for order in ("us", "su"):
+            paths = _Transport(bps, points, order)
+            bases = [bps[x[0]] for x in points]
+            if order == "us":
+                mids = [bracket(x, w) for x, w in zip(points, bases)]
+                kinds = (stable_holonomy, unstable_holonomy)
+            else:
+                mids = [bracket(w, x) for x, w in zip(points, bases)]
+                kinds = (unstable_holonomy, stable_holonomy)
+            legs = ((kinds[0], bases, mids), (kinds[1], mids, points))
+            for t in transports:
+                assert same_bits(t.tabulate(paths), [t.evaluate(x, order) for x in points])
+                for cocycle in (t.cocycle_a, t.cocycle_b):
+                    for leg, (holonomy, frm, to) in zip(paths.legs, legs):
+                        assert same_bits(paths.holonomies(cocycle, leg),
+                                         [holonomy(cocycle, y, z).matrix
+                                          for y, z in zip(frm, to)])
+
+
+def test_corner_diagonal_check_trips_in_both_paths(q2):
+    # tol = 0 demands exact transport; rounding in the 2x2 block of the
+    # subsystem holonomies leaves the transported diagonal off the identity
+    # on some windows, the first of them not window 0, and exactly on the
+    # identity at both basepoints
+    desc = ZimmerDescriptor((1, 2), 0.0)
+    fix = peel_fixture(seed=3, dims=(1, 2), conjugator_window=1)
+    a, u, b = fix.base, fix.conjugator, fix.result
+    seeds = [np.linalg.inv(evaluate(u, w)) for w in default_basepoints(q2)]
+    with pytest.raises(StageError) as peeled:
+        superdiagonal_peel(a, b, desc, seeds, tol=0.0)
+    assert peeled.value.stage == "corner-transport-diagonal"
+    assert peeled.value.residual > 0.0
+
+    corner = dataclasses.replace(
+        two_block_recover(a, b, desc, [desc.block(s, 0, 1) for s in seeds]),
+        diag_tol=0.0)
+    radius = 2 * max(a.window_radius, b.window_radius)
+    first = None
+    for w in admissible_words(q2, 2 * radius + 1):
+        try:
+            corner.evaluate(close_word(q2, w, origin_offset=radius))
+        except StageError as exc:
+            first = exc
+            break
+    assert first is not None and first.stage == peeled.value.stage
+    assert first.residual == peeled.value.residual
