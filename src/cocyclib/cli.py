@@ -102,6 +102,14 @@ def _object(value: Any, path: str) -> dict:
     return value
 
 
+def _integer(value: Any) -> int:
+    """A JSON integer, unchanged; int() would truncate 2.5 to 2 and read
+    true as 1."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _list_of(valid: Callable[[Any], bool], what: str) -> Callable[[list], list]:
     """A converter for :func:`_value` that checks every item of a list and
     returns the list unchanged, so that an integer such as 1 is not written
@@ -136,7 +144,7 @@ def build_cocycle(cfg: dict, q: TransitionMatrix, key: str = "cocycle",
                   source: dict | None = None) -> LocallyConstantCocycle:
     path = f"$.{key}"
     c_cfg = source if source is not None else _value(cfg, path, dict)
-    radius = _value(c_cfg, f"{path}.window_radius", int)
+    radius = _value(c_cfg, f"{path}.window_radius", _integer)
     table = {}
     for word, mat in _value(c_cfg, f"{path}.table", dict).items():
         with _config_value(f"{path}.table.{word}"):
@@ -149,7 +157,7 @@ def build_descriptor(cfg: dict) -> ZimmerDescriptor:
     d_cfg = _value(cfg, "$.descriptor", dict)
     exponent = _value(d_cfg, "$.descriptor.exponent", float, 0.0)
     return _value(d_cfg, "$.descriptor.block_dims",
-                  lambda dims: ZimmerDescriptor(tuple(int(d) for d in dims), exponent))
+                  lambda dims: ZimmerDescriptor(tuple(map(_integer, dims)), exponent))
 
 
 def experiment_params(cfg: dict) -> dict:
@@ -202,9 +210,9 @@ def _jsonable(obj: Any) -> Any:
 def _run_exponents(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
-    n = _value(exp, "$.experiment.n", int, 2)
-    trials = min(_value(exp, "$.experiment.trials", int, 2000), budgets["samples"])
-    max_period = _value(exp, "$.experiment.max_period", int, 4)
+    n = _value(exp, "$.experiment.n", _integer, 2)
+    trials = min(_value(exp, "$.experiment.trials", _integer, 2000), budgets["samples"])
+    max_period = _value(exp, "$.experiment.max_period", _integer, 4)
     results: dict[str, Any] = {}
     rows = []
     for period in range(1, max_period + 1):
@@ -243,8 +251,8 @@ def _run_exponents(cfg, q, metric, exp, rng, budgets):
 def _run_holonomy(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
-    n_pairs = min(_value(exp, "$.experiment.pairs", int, 400), budgets["samples"])
-    inter_n = _value(exp, "$.experiment.intertwine_n", int, 10)
+    n_pairs = min(_value(exp, "$.experiment.pairs", _integer, 400), budgets["samples"])
+    inter_n = _value(exp, "$.experiment.intertwine_n", _integer, 10)
     tol = _value(exp, "$.experiment.tolerance", float, 1e-12)
     chain_worst = 0.0
     inter_worst = 0.0
@@ -287,10 +295,10 @@ def _run_blocks(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
     with _config_value("$.experiment"):
-        params = BlockParams(_value(exp, "$.experiment.N", int, 1),
+        params = BlockParams(_value(exp, "$.experiment.N", _integer, 1),
                              _value(exp, "$.experiment.theta", float))
-    max_period = _value(exp, "$.experiment.max_period", int, 4)
-    s_max = _value(exp, "$.experiment.s_max", int, 8)
+    max_period = _value(exp, "$.experiment.max_period", _integer, 4)
+    s_max = _value(exp, "$.experiment.s_max", _integer, 8)
     rows = []
     consistent = True
     for period in range(1, max_period + 1):
@@ -303,7 +311,8 @@ def _run_blocks(cfg, q, metric, exp, rng, budgets):
             rows.append({"word": word_key(p.cyclic_word),
                          "period": period, "member": bool(exact)})
     probe_rows = []
-    n_probe = min(_value(exp, "$.experiment.probe_points", int, 5), budgets["samples"])
+    n_probe = min(_value(exp, "$.experiment.probe_points", _integer, 5),
+                  budgets["samples"])
     grid_n = _value(exp, "$.experiment.probe_n_grid",
                     _list_of(lambda v: type(v) is int and v >= 1, "positive integers"),
                     [1, 2, 4])
@@ -330,12 +339,12 @@ def _run_shadow(cfg, q, metric, exp, rng, budgets):
     a = build_cocycle(cfg, q)
     x, y = (_value(exp, path, lambda w: periodic_point(q, parse_word_key(str(w))))
             for path in ("$.experiment.x_word", "$.experiment.y_word"))
-    b = _value(exp, "$.experiment.b", int, 2)
-    c = _value(exp, "$.experiment.c", int, 2)
+    b = _value(exp, "$.experiment.b", _integer, 2)
+    c = _value(exp, "$.experiment.c", _integer, 2)
     alpha = _value(exp, "$.experiment.alpha", float, 0.1)
-    ms = _value(exp, "$.experiment.ms", lambda v: [int(m) for m in v], [4, 8, 12, 16])
+    ms = _value(exp, "$.experiment.ms", lambda v: list(map(_integer, v)), [4, 8, 12, 16])
     with _config_value("$.experiment"):
-        params = BlockParams(_value(exp, "$.experiment.N", int, 4),
+        params = BlockParams(_value(exp, "$.experiment.N", _integer, 4),
                              _value(exp, "$.experiment.theta", float, 3.0))
         specs = [ShadowSpec(q, x, y, m, b, c, alpha) for m in ms]
     table = growth_measure(a, specs, params)
@@ -344,7 +353,7 @@ def _run_shadow(cfg, q, metric, exp, rng, budgets):
     checks = []
     if "flag_dims" in exp:
         flag = _value(exp, "$.experiment.flag_dims", lambda dims: Flag(tuple(
-            Subspace.standard(a.dimension, range(int(k))) for k in dims)))
+            Subspace.standard(a.dimension, range(_integer(k))) for k in dims)))
         with _config_value("$.experiment"):
             cone = ConeParams(tuple(exp.get("cone_split", (1, a.dimension - 1))),
                               _value(exp, "$.experiment.cone_mu", float, 2.0),
@@ -381,7 +390,8 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
         base_values = _value(exp, "$.experiment.base_values",
                                  lambda vs: [np.array(v, dtype=float) for v in vs])
     evaluator = superdiagonal_peel(a, b, desc, base_values, tol=tol)
-    n_samples = min(_value(exp, "$.experiment.samples", int, 500), budgets["samples"])
+    n_samples = min(_value(exp, "$.experiment.samples", _integer, 500),
+                    budgets["samples"])
     samples = [sample_point(mu, rng, 14) for _ in range(n_samples)]
     report = verify_conjugacy(a, b, evaluator, samples, tol=tol, metric=metric)
     path_gap = max(float(np.max(np.abs(
@@ -419,7 +429,7 @@ def _run_verify_zimmer(cfg, q, metric, exp, rng, budgets):
         rows.append({"window": word_key(w), "member": bool(res.ok),
                      "lower_residual": res.lower_residual,
                      "diagonal_residual": max(res.diagonal_residuals)})
-    n_products = _value(exp, "$.experiment.closure_products", int, 50)
+    n_products = _value(exp, "$.experiment.closure_products", _integer, 50)
     closure_ok = True
     for _ in range(n_products):
         m1 = random_element(desc, rng, 1.0)
@@ -491,10 +501,10 @@ def run(config: dict) -> dict:
     """Validate the config, run its experiment and return the report dict."""
     q, metric = build_system(config)
     exp = experiment_params(config)
-    seed = _value(exp, "$.experiment.seed", int)
+    seed = _value(exp, "$.experiment.seed", _integer)
     rng = np.random.default_rng(seed)
     budget_cfg = _object(exp.get("budgets", {}), "$.experiment.budgets")
-    budgets = {key: _value(budget_cfg, f"$.experiment.budgets.{key}", int, default)
+    budgets = {key: _value(budget_cfg, f"$.experiment.budgets.{key}", _integer, default)
                for key, default in (("words", DEFAULT_WORD_BUDGET),
                                     ("samples", DEFAULT_SAMPLE_BUDGET))}
     handler = _HANDLERS[exp["kind"]]

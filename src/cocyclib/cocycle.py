@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -224,15 +224,22 @@ def iterate(a: LocallyConstantCocycle, x: SymbolicPoint, n: int) -> np.ndarray:
     return result
 
 
-def iterate_many(a: LocallyConstantCocycle, points: Sequence[SymbolicPoint],
+def iterate_many(a: LocallyConstantCocycle, words: np.ndarray,
                  n: int) -> np.ndarray:
-    """The (len(points), d, d) stack of A^n(x) over the points.  Each entry
-    is formed like :func:`iterate`, from the identity with the same factors
-    in the same order, so it equals ``iterate(a, x, n)`` bit for bit, and
-    it raises the same OverflowError.  At n = 0 no window is read."""
+    """The (W, d, d) stack of A^n(x) over the rows x of a (W, 2r + 1) array
+    of window words over coordinates -r..r.  Each entry is formed like
+    :func:`iterate`, from the identity with the same factors in the same
+    order, so it equals ``iterate(a, x, n)`` bit for bit, and it raises the
+    same OverflowError.  At n = 0 no window is read; otherwise r must cover
+    the span of A^n."""
     kern = a.kernel
-    rows = (kern.orbit_rows(points, n) if n
-            else np.empty((len(points), 0), dtype=np.int64))
+    rows = np.empty((len(words), 0), dtype=np.int64)
+    if n:
+        r = words.shape[1] // 2
+        lo, hi = _orbit_span(a.window_radius, n)
+        if lo < -r or hi > r:
+            raise ValueError(f"radius-{r} words miss coordinates {lo}..{hi} of A^{n}")
+        rows = kern.rows(words[:, lo + r:hi + r + 1])[:, ::1 if n > 0 else -1]
     with np.errstate(over="ignore", invalid="ignore"):
         result = kern.fold(kern.stack if n >= 0 else kern.inverse, rows)
     if not np.all(np.isfinite(result)):

@@ -41,11 +41,8 @@ from .sft import (
     Word,
     admissible_words,
     bracket,
-    close_word,
     distance,
     periodic_point,
-    same_future,
-    same_past,
     shortest_return_cycle,
 )
 from .zimmer import ZimmerDescriptor, membership
@@ -86,49 +83,36 @@ def _leg(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
 
 
 class _Transport:
-    """Two-leg transport from the basepoints to a batch of points, laid out
-    once and shared by every evaluator of a stage.
-
-    Builds the bracket point of each point and checks the precondition of
-    both legs once per point; :meth:`holonomies` then gives a cocycle's
-    holonomies along a leg at all points at once, each bit for bit the
-    per-point one.
+    """Two-leg transport from the basepoints to a (W, 2r + 1) array of
+    window words over coordinates -r..r, shared by every evaluator of a
+    stage.  The leg ends are symbol arrays over the same coordinates: the
+    basepoint of each word's symbol, the bracket point (for "us" the word's
+    past with the basepoint's future, for "su" the reverse) and the word,
+    so each leg lies on a common local stable or unstable set by
+    construction.
     """
 
-    def __init__(self, basepoints: Sequence[SymbolicPoint],
-                 points: Sequence[SymbolicPoint], order: str = "us"):
-        symbols = np.array([x[0] for x in points], dtype=np.int64)
+    def __init__(self, basepoints: Sequence[SymbolicPoint], words: np.ndarray,
+                 order: str = "us"):
+        r = words.shape[1] // 2
+        self.symbols = words[:, r]
+        base = np.array([w.window(-r, r) for w in basepoints])[self.symbols]
         if order == "us":
-            mids = [bracket(x, basepoints[i]) for x, i in zip(points, symbols)]
-            kinds = ("stable", "unstable")
+            past, future, kinds = words, base, ("stable", "unstable")
         elif order == "su":
-            mids = [bracket(basepoints[i], x) for x, i in zip(points, symbols)]
-            kinds = ("unstable", "stable")
+            past, future, kinds = base, words, ("unstable", "stable")
         else:
             raise ValueError(f"unknown transport order {order!r}")
-        for x, i, mid in zip(points, symbols, mids):
-            for kind, frm, to in ((kinds[0], basepoints[i], mid), (kinds[1], mid, x)):
-                same = same_future if kind == "stable" else same_past
-                if not same(frm, to):
-                    raise ValueError(f"points do not lie on a common local {kind} set")
-        self.symbols = symbols
-        # (kind, from, to); an end is its points and, for the basepoints,
-        # the index that gathers one per point.
-        self.legs = ((kinds[0], (basepoints, symbols), (mids, None)),
-                     (kinds[1], (mids, None), (points, None)))
-
-    @staticmethod
-    def _products(a: LocallyConstantCocycle, end, n: int) -> np.ndarray:
-        points, gather = end
-        products = iterate_many(a, points, n)
-        return products if gather is None else products[gather]
+        mid = np.hstack([past[:, :r + 1], future[:, r + 1:]])
+        # (kind, from, to)
+        self.legs = ((kinds[0], base, mid), (kinds[1], mid, words))
 
     def holonomies(self, a: LocallyConstantCocycle, leg) -> np.ndarray:
-        """The leg's holonomy of ``a`` at every point: solve(A^k(to),
+        """The leg's holonomy of ``a`` at every window: solve(A^k(to),
         A^k(from)), with A^{-k} on an unstable leg."""
         kind, frm, to = leg
         n = a.window_radius if kind == "stable" else -a.window_radius
-        return np.linalg.solve(self._products(a, to, n), self._products(a, frm, n))
+        return np.linalg.solve(iterate_many(a, to, n), iterate_many(a, frm, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +160,7 @@ class TransferEvaluator:
         return self.evaluate(x, order)
 
     def tabulate(self, paths: _Transport) -> np.ndarray:
-        """:meth:`evaluate` at every point of ``paths``, as one stack formed
+        """:meth:`evaluate` at every window of ``paths``, as one stack formed
         with the same operations in the same order."""
         value = np.array(self.base_values, dtype=float)[paths.symbols]
         for leg in paths.legs:
@@ -263,13 +247,13 @@ def _block_difference(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
 
 
 def materialize(q: TransitionMatrix,
-                func: Callable[[list[SymbolicPoint]], np.ndarray],
+                func: Callable[[np.ndarray], np.ndarray],
                 radius: int, dimension: int,
                 budget: int = MATERIALIZE_BUDGET) -> LocallyConstantCocycle:
-    """Tabulate a locally constant point function over admissible windows.
+    """Tabulate a locally constant function over admissible windows.
 
-    ``func`` takes the closed representatives of all windows, in
-    lexicographic window order, and returns their values as one
+    ``func`` takes the (windows, 2 radius + 1) array of all window words,
+    in lexicographic order, and returns their values as one
     (windows, dimension, dimension) stack.
     """
     if q.size ** (2 * radius + 1) > budget:
@@ -277,7 +261,7 @@ def materialize(q: TransitionMatrix,
             f"materializing a window-{radius} table exceeds the budget"
         )
     words = list(admissible_words(q, 2 * radius + 1))
-    values = func([close_word(q, w, origin_offset=radius) for w in words])
+    values = func(np.array(words, dtype=np.int64))
     # Each entry gets its own array: numpy operations on a view into the
     # stack cost about a tenth more, and tables are read point by point.
     return LocallyConstantCocycle(q, radius, dimension,
@@ -333,12 +317,6 @@ class CornerEvaluator:
     def __call__(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
         return self.evaluate(x, order)
 
-    def tabulate(self, paths: _Transport) -> np.ndarray:
-        """:meth:`evaluate` at every point of ``paths``, as one stack."""
-        corner, residual = self._split(self.subsystem.tabulate(paths))
-        _check_corners([(residual, self.diag_tol)])
-        return corner
-
     def _split(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Corner block of subsystem values (d, d) or (W, d, d), and how far
         each value's diagonal blocks are from the identity and its lower
@@ -353,14 +331,14 @@ class CornerEvaluator:
 
 
 def _check_corners(checks: Sequence[tuple[np.ndarray, float]]) -> None:
-    """Raise for the first point, and at it the first corner, whose
+    """Raise for the first window, and at it the first corner, whose
     diagonal residual exceeds its tolerance; ``checks`` holds one (residual
-    per point, tolerance) pair per corner."""
+    per window, tolerance) pair per corner."""
     failed = np.flatnonzero(np.column_stack([res > tol for res, tol in checks]))
     if failed.size:
-        point, corner = divmod(int(failed[0]), len(checks))
+        window, corner = divmod(int(failed[0]), len(checks))
         residual, tol = checks[corner]
-        raise StageError("corner-transport-diagonal", float(residual[point]), tol)
+        raise StageError("corner-transport-diagonal", float(residual[window]), tol)
 
 
 def two_block_recover(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
@@ -407,7 +385,7 @@ class _DiagonalStage:
         return out
 
     def tabulate(self, paths: _Transport) -> np.ndarray:
-        """:meth:`evaluate` at every point of ``paths``, as one stack."""
+        """:meth:`evaluate` at every window of ``paths``, as one stack."""
         d = self.descriptor.dim
         o = self.descriptor.offsets()
         out = np.zeros((len(paths.symbols), d, d))
@@ -432,8 +410,8 @@ class _OffsetStage:
         return out
 
     def tabulate(self, paths: _Transport) -> np.ndarray:
-        """:meth:`evaluate` at every point of ``paths``, as one stack; the
-        corner checks run point by point, as they do there."""
+        """:meth:`evaluate` at every window of ``paths``, as one stack; the
+        corner checks run window by window, in window order."""
         d = self.descriptor.dim
         o = self.descriptor.offsets()
         out = np.tile(np.eye(d), (len(paths.symbols), 1, 1))
@@ -466,6 +444,8 @@ class PeeledEvaluator:
     final_residual: float = 0.0
 
     def evaluate(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
+        if order not in ("us", "su"):
+            raise ValueError(f"unknown transport order {order!r}")
         out = np.eye(self.descriptor.dim)
         if order == "us":
             # The materialized stage tables agree with the us-ordered
@@ -525,8 +505,9 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
     def install_stage(stage, name: str, check_blocks) -> None:
         nonlocal b_current, cond_scale
         radius = 2 * max(a.window_radius, b_current.window_radius)
-        table = materialize(a.q, lambda reps: stage.tabulate(_Transport(basepoints, reps)),
-                            radius, desc.dim)
+        table = materialize(
+            a.q, lambda words: stage.tabulate(_Transport(basepoints, words)),
+            radius, desc.dim)
         table = minimize_table(table)
         if not _is_identity_table(table):
             result.stages.append(stage)

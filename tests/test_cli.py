@@ -163,8 +163,38 @@ def _bad_flag_dims(cfg):
     cfg["experiment"]["flag_dims"] = [1]
 
 
+def _setting(*keys, value):
+    """A corruption that sets the value at a key path of the config."""
+    def corrupt(cfg):
+        node = cfg
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        node[keys[-1]] = value
+    return corrupt
+
+
 @pytest.mark.parametrize("kind, corrupt, path", [
     ("exponents", _bad_n, "$.experiment.n"),
+    # integer keys take JSON integers only: int() would truncate these
+    ("exponents", _setting("experiment", "n", value=2.5), "$.experiment.n"),
+    ("exponents", _setting("experiment", "n", value=True), "$.experiment.n"),
+    ("exponents", _setting("experiment", "max_period", value=1.9),
+     "$.experiment.max_period"),
+    ("exponents", _setting("experiment", "trials", value=10.7), "$.experiment.trials"),
+    ("exponents", _setting("experiment", "seed", value=11.0), "$.experiment.seed"),
+    ("exponents", _setting("experiment", "budgets", "words", value=True),
+     "$.experiment.budgets.words"),
+    ("exponents", _setting("experiment", "budgets", "samples", value=50.5),
+     "$.experiment.budgets.samples"),
+    ("exponents", _setting("cocycle", "window_radius", value=0.0),
+     "$.cocycle.window_radius"),
+    ("holonomy", _setting("experiment", "pairs", value=False), "$.experiment.pairs"),
+    ("blocks", _setting("experiment", "N", value=1.5), "$.experiment.N"),
+    ("reconstruct", _setting("descriptor", "block_dims", value=[1.0, 1]),
+     "$.descriptor.block_dims"),
+    ("shadow", _setting("experiment", "ms", value=[4, 8.5]), "$.experiment.ms"),
+    ("shadow", _setting("experiment", "flag_dims", value=[1, 2.5]),
+     "$.experiment.flag_dims"),
     ("exponents", _bad_word_budget, "$.experiment.budgets.words"),
     ("exponents", _list_budgets, "$.experiment.budgets"),
     ("reconstruct", _bad_block_dims, "$.descriptor.block_dims"),

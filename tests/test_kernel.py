@@ -11,6 +11,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from cocyclib.cocycle import (
     evaluate,
     inverse_cocycle,
     iterate,
+    iterate_many,
 )
 from cocyclib.fixtures import (
     mixed_two_block_cocycle,
@@ -34,7 +36,15 @@ from cocyclib.regularity import (
     distortion_growth_slope,
     finite_scale_exponent,
 )
-from cocyclib.sft import TransitionMatrix, admissible_words, enumerate_periodic
+from cocyclib.sft import (
+    TransitionMatrix,
+    admissible_words,
+    bracket,
+    enumerate_periodic,
+    same_future,
+    same_past,
+)
+from cocyclib.transfer import _Transport, default_basepoints
 
 # ---------------------------------------------------------------------------
 # scalar references
@@ -179,6 +189,68 @@ def test_orbit_rows_equal_per_window_lookups(n, n_points, n_symbols, radius, dim
     assert got.shape == (n_points, abs(n))
     assert got.tolist() == expected
     assert kern.orbit_rows([], n).shape == (0, abs(n))
+
+
+def _random_points(mu, rng, count):
+    return [sample_point(mu, rng, int(rng.integers(1, 12)), start=int(rng.integers(-8, 3)))
+            for _ in range(count)]
+
+
+def _words(points, r):
+    return np.array([x.window(-r, r) for x in points], dtype=np.int64).reshape(len(points),
+                                                                             2 * r + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.sampled_from(["us", "su"]), n_points=st.integers(1, 4), **systems)
+@example(order="su", n_points=3, n_symbols=3, radius=2, dim=2, seed=5)
+def test_word_transport_legs_are_the_point_legs(order, n_points, n_symbols, radius, dim,
+                                                 seed):
+    # each leg end of the word-array transport is the window of the point
+    # the per-point transport builds, and the precondition of each leg holds
+    # without being checked
+    mu, a, rng = random_system(n_symbols, radius, dim, seed)
+    bps = default_basepoints(a.q)
+    points = _random_points(mu, rng, n_points)
+    r = 2 * radius  # the stage radius of superdiagonal_peel
+    paths = _Transport(bps, _words(points, r), order)
+    bases = [bps[x[0]] for x in points]
+    if order == "us":
+        mids = [bracket(x, w) for x, w in zip(points, bases)]
+        kinds = ("stable", "unstable")
+    else:
+        mids = [bracket(w, x) for x, w in zip(points, bases)]
+        kinds = ("unstable", "stable")
+    assert paths.symbols.tolist() == [x[0] for x in points]
+    for (kind, frm, to), expected, ends in zip(paths.legs, kinds,
+                                               ((bases, mids), (mids, points))):
+        assert kind == expected
+        same = same_future if kind == "stable" else same_past
+        assert all(same(y, z) for y, z in zip(*ends))
+        n = radius if kind == "stable" else -radius
+        for words, pts in zip((frm, to), ends):
+            assert same_bits(words, _words(pts, r))
+            assert same_bits(iterate_many(a, words, n), [iterate(a, y, n) for y in pts])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(-6, 6), extra=st.integers(0, 2), n_points=st.integers(0, 3),
+       **systems)
+@example(n=3, extra=0, n_points=2, n_symbols=2, radius=1, dim=2, seed=0)
+@example(n=-3, extra=0, n_points=2, n_symbols=3, radius=1, dim=2, seed=0)
+@example(n=0, extra=0, n_points=2, n_symbols=2, radius=2, dim=1, seed=0)
+def test_iterate_many_equals_iterate_and_checks_the_span(n, extra, n_points, n_symbols,
+                                                        radius, dim, seed):
+    mu, a, rng = random_system(n_symbols, radius, dim, seed)
+    points = _random_points(mu, rng, n_points)
+    lo, hi = (-radius, n - 1 + radius) if n >= 0 else (n - radius, radius - 1)
+    r = max(-lo, hi, 0)  # the narrowest words that cover A^n
+    got = iterate_many(a, _words(points, r + extra), n)
+    assert same_bits(got, np.reshape([iterate(a, x, n) for x in points],
+                                     (n_points, dim, dim)))
+    if n and r:
+        with pytest.raises(ValueError, match="miss coordinates"):
+            iterate_many(a, _words(points, r - 1), n)
 
 
 @settings(max_examples=40, deadline=None)

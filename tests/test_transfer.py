@@ -298,9 +298,26 @@ def test_periodic_consistency_commuting_centralizer(q2):
         assert abs(m[0, 1]) <= 1e-10 and abs(m[1, 0]) <= 1e-10
 
 
+def test_peeled_evaluate_accepts_only_the_two_orders(q2, mu2, rng):
+    # a peel of A against itself keeps no stage, so the order is checked
+    # before any stage could reject it
+    fix = peel_fixture(seed=3, dims=(1, 1), conjugator_window=1)
+    seeds = [np.linalg.inv(evaluate(fix.conjugator, w)) for w in default_basepoints(q2)]
+    unchanged = superdiagonal_peel(fix.result, fix.result, DESC2, [np.eye(2)] * 2)
+    peeled = superdiagonal_peel(fix.base, fix.result, DESC2, seeds)
+    assert not unchanged.stages and peeled.stages
+    x = sample_point(mu2, rng, 10)
+    for ev in (unchanged, peeled):
+        for order in ("bogus", "", "US"):
+            with pytest.raises(ValueError, match="unknown transport order"):
+                ev.evaluate(x, order)
+    for order in ("us", "su"):
+        assert same_bits(unchanged.evaluate(x, order), np.eye(2))
+
+
 def test_materialize_and_minimize(q2):
     a = mild_random_cocycle(q2, 0, seed=3)
-    table = materialize(q2, lambda xs: np.array([evaluate(a, x) for x in xs]), 2, 2)
+    table = materialize(q2, lambda words: np.array([a.at(tuple(w)) for w in words]), 2, 2)
     assert table.window_radius == 2
     small = minimize_table(table)
     assert small.window_radius == 0
@@ -453,11 +470,21 @@ def _rotated_fixture(seed, dims, q, window):
                          for w in default_basepoints(q)]
 
 
+def _stage_transports(stage):
+    return (list(getattr(stage, "evaluators", ()))
+            + [corner.subsystem for _, corner in getattr(stage, "corners", ())])
+
+
+def _words(points, r):
+    return np.array([x.window(-r, r) for x in points])
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1),
        dims=st.sampled_from([(1, 1), (1, 1, 1), (2, 1)]),
-       window=st.integers(0, 1), golden=st.booleans())
+       window=st.integers(0, 2), golden=st.booleans())
 @example(seed=3, dims=(2, 1), window=0, golden=False)
+@example(seed=3, dims=(1, 1, 1), window=2, golden=True)
 def test_batched_stages_equal_per_window_transport(seed, dims, window, golden):
     # exact equality: the batched transport must do the per-point arithmetic
     # in the same order, from the same identity start
@@ -477,28 +504,30 @@ def test_batched_stages_equal_per_window_transport(seed, dims, window, golden):
                superdiagonal_peel(b, a, desc, c)):
         assert ev.stage_names[0] == "diagonal"
         for stage in ev.stages:
-            assert same_bits(stage.tabulate(_Transport(bps, points)),
+            transports = _stage_transports(stage)
+            # the stage radius of superdiagonal_peel
+            r = 2 * max(max(t.cocycle_a.window_radius, t.cocycle_b.window_radius)
+                        for t in transports)
+            assert same_bits(stage.tabulate(_Transport(bps, _words(points, r))),
                              [stage.evaluate(x, "us") for x in points])
-        transports = [t for stage in ev.stages for t in getattr(stage, "evaluators", ())]
-        transports += [corner.subsystem for stage in ev.stages
-                       for _, corner in getattr(stage, "corners", ())]
-        for order in ("us", "su"):
-            paths = _Transport(bps, points, order)
-            bases = [bps[x[0]] for x in points]
-            if order == "us":
-                mids = [bracket(x, w) for x, w in zip(points, bases)]
-                kinds = (stable_holonomy, unstable_holonomy)
-            else:
-                mids = [bracket(w, x) for x, w in zip(points, bases)]
-                kinds = (unstable_holonomy, stable_holonomy)
-            legs = ((kinds[0], bases, mids), (kinds[1], mids, points))
-            for t in transports:
-                assert same_bits(t.tabulate(paths), [t.evaluate(x, order) for x in points])
-                for cocycle in (t.cocycle_a, t.cocycle_b):
-                    for leg, (holonomy, frm, to) in zip(paths.legs, legs):
-                        assert same_bits(paths.holonomies(cocycle, leg),
-                                         [holonomy(cocycle, y, z).matrix
-                                          for y, z in zip(frm, to)])
+            for order in ("us", "su"):
+                paths = _Transport(bps, _words(points, r), order)
+                bases = [bps[x[0]] for x in points]
+                if order == "us":
+                    mids = [bracket(x, w) for x, w in zip(points, bases)]
+                    kinds = (stable_holonomy, unstable_holonomy)
+                else:
+                    mids = [bracket(w, x) for x, w in zip(points, bases)]
+                    kinds = (unstable_holonomy, stable_holonomy)
+                legs = ((kinds[0], bases, mids), (kinds[1], mids, points))
+                for t in transports:
+                    assert same_bits(t.tabulate(paths),
+                                     [t.evaluate(x, order) for x in points])
+                    for cocycle in (t.cocycle_a, t.cocycle_b):
+                        for leg, (holonomy, frm, to) in zip(paths.legs, legs):
+                            assert same_bits(paths.holonomies(cocycle, leg),
+                                             [holonomy(cocycle, y, z).matrix
+                                              for y, z in zip(frm, to)])
 
 
 def test_corner_diagonal_check_trips_in_both_paths(q2):
