@@ -102,12 +102,20 @@ def _object(value: Any, path: str) -> dict:
     return value
 
 
-def _integer(value: Any) -> int:
-    """A JSON integer, unchanged; int() would truncate 2.5 to 2 and read
-    true as 1."""
+def _integer(value: Any, minimum: int | None = None) -> int:
+    """A JSON integer, unchanged, and not below ``minimum``; int() would
+    truncate 2.5 to 2 and read true as 1."""
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"expected an integer >= {minimum}, got {value}")
     return value
+
+
+def _at_least(minimum: int) -> Callable[[Any], int]:
+    """:func:`_integer` with the lower bound that the library function fed
+    by the value enforces."""
+    return lambda value: _integer(value, minimum)
 
 
 def _list_of(valid: Callable[[Any], bool], what: str) -> Callable[[list], list]:
@@ -144,7 +152,7 @@ def build_cocycle(cfg: dict, q: TransitionMatrix, key: str = "cocycle",
                   source: dict | None = None) -> LocallyConstantCocycle:
     path = f"$.{key}"
     c_cfg = source if source is not None else _value(cfg, path, dict)
-    radius = _value(c_cfg, f"{path}.window_radius", _integer)
+    radius = _value(c_cfg, f"{path}.window_radius", _at_least(0))
     table = {}
     for word, mat in _value(c_cfg, f"{path}.table", dict).items():
         with _config_value(f"{path}.table.{word}"):
@@ -210,8 +218,9 @@ def _jsonable(obj: Any) -> Any:
 def _run_exponents(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
-    n = _value(exp, "$.experiment.n", _integer, 2)
-    trials = min(_value(exp, "$.experiment.trials", _integer, 2000), budgets["samples"])
+    n = _value(exp, "$.experiment.n", _at_least(1), 2)
+    trials = min(_value(exp, "$.experiment.trials", _at_least(1), 2000),
+                 budgets["samples"])
     max_period = _value(exp, "$.experiment.max_period", _integer, 4)
     results: dict[str, Any] = {}
     rows = []
@@ -295,10 +304,10 @@ def _run_blocks(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
     with _config_value("$.experiment"):
-        params = BlockParams(_value(exp, "$.experiment.N", _integer, 1),
+        params = BlockParams(_value(exp, "$.experiment.N", _at_least(1), 1),
                              _value(exp, "$.experiment.theta", float))
     max_period = _value(exp, "$.experiment.max_period", _integer, 4)
-    s_max = _value(exp, "$.experiment.s_max", _integer, 8)
+    s_max = _value(exp, "$.experiment.s_max", _at_least(1), 8)
     rows = []
     consistent = True
     for period in range(1, max_period + 1):
@@ -339,12 +348,13 @@ def _run_shadow(cfg, q, metric, exp, rng, budgets):
     a = build_cocycle(cfg, q)
     x, y = (_value(exp, path, lambda w: periodic_point(q, parse_word_key(str(w))))
             for path in ("$.experiment.x_word", "$.experiment.y_word"))
-    b = _value(exp, "$.experiment.b", _integer, 2)
-    c = _value(exp, "$.experiment.c", _integer, 2)
+    b = _value(exp, "$.experiment.b", _at_least(1), 2)
+    c = _value(exp, "$.experiment.c", _at_least(1), 2)
     alpha = _value(exp, "$.experiment.alpha", float, 0.1)
-    ms = _value(exp, "$.experiment.ms", lambda v: list(map(_integer, v)), [4, 8, 12, 16])
+    ms = _value(exp, "$.experiment.ms", lambda v: list(map(_at_least(1), v)),
+               [4, 8, 12, 16])
     with _config_value("$.experiment"):
-        params = BlockParams(_value(exp, "$.experiment.N", _integer, 4),
+        params = BlockParams(_value(exp, "$.experiment.N", _at_least(1), 4),
                              _value(exp, "$.experiment.theta", float, 3.0))
         specs = [ShadowSpec(q, x, y, m, b, c, alpha) for m in ms]
     table = growth_measure(a, specs, params)
@@ -390,7 +400,7 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
         base_values = _value(exp, "$.experiment.base_values",
                                  lambda vs: [np.array(v, dtype=float) for v in vs])
     evaluator = superdiagonal_peel(a, b, desc, base_values, tol=tol)
-    n_samples = min(_value(exp, "$.experiment.samples", _integer, 500),
+    n_samples = min(_value(exp, "$.experiment.samples", _at_least(1), 500),
                     budgets["samples"])
     samples = [sample_point(mu, rng, 14) for _ in range(n_samples)]
     report = verify_conjugacy(a, b, evaluator, samples, tol=tol, metric=metric)
@@ -501,12 +511,14 @@ def run(config: dict) -> dict:
     """Validate the config, run its experiment and return the report dict."""
     q, metric = build_system(config)
     exp = experiment_params(config)
-    seed = _value(exp, "$.experiment.seed", _integer)
+    seed = _value(exp, "$.experiment.seed", _at_least(0))
     rng = np.random.default_rng(seed)
     budget_cfg = _object(exp.get("budgets", {}), "$.experiment.budgets")
-    budgets = {key: _value(budget_cfg, f"$.experiment.budgets.{key}", _integer, default)
-               for key, default in (("words", DEFAULT_WORD_BUDGET),
-                                    ("samples", DEFAULT_SAMPLE_BUDGET))}
+    budgets = {key: _value(budget_cfg, f"$.experiment.budgets.{key}", convert,
+                           default)
+               for key, convert, default in (
+                   ("words", _integer, DEFAULT_WORD_BUDGET),
+                   ("samples", _at_least(1), DEFAULT_SAMPLE_BUDGET))}
     handler = _HANDLERS[exp["kind"]]
     results, tables, checks = handler(config, q, metric, exp, rng, budgets)
     report = {

@@ -289,7 +289,12 @@ def validate_point(x: SymbolicPoint, q: TransitionMatrix) -> None:
 
 def point(q: TransitionMatrix, left_period, core, right_period,
           origin_offset: int = 0) -> SymbolicPoint:
-    """Validated constructor for :class:`SymbolicPoint`."""
+    """Validated constructor for :class:`SymbolicPoint`, for outside input.
+
+    :func:`close_word`, :func:`splice_past` and :func:`splice_future` check
+    only their new word and its seam: their tails are return cycles or
+    rotated periods of a valid point, admissible by construction.
+    """
     x = SymbolicPoint(as_word(left_period), as_word(core), as_word(right_period),
                       origin_offset)
     validate_point(x, q)
@@ -480,9 +485,7 @@ def close_word(q: TransitionMatrix, core: Sequence[int] | str,
     left = left_cycle
     right_cycle = shortest_return_cycle(q, w[-1])
     right = right_cycle[1:] + (right_cycle[0],)
-    x = SymbolicPoint(left, w, right, origin_offset)
-    validate_point(x, q)
-    return x
+    return SymbolicPoint(left, w, right, origin_offset)
 
 
 def splice_past(q: TransitionMatrix, x: SymbolicPoint,
@@ -498,9 +501,7 @@ def splice_past(q: TransitionMatrix, x: SymbolicPoint,
     future = x.window(0, t - 1)
     right = x.window(t, t + len(x.right_period) - 1)
     left = shortest_return_cycle(q, w[0])
-    z = SymbolicPoint(left, w + future, right, len(w))
-    validate_point(z, q)
-    return z
+    return SymbolicPoint(left, w + future, right, len(w))
 
 
 def splice_future(q: TransitionMatrix, x: SymbolicPoint,
@@ -517,6 +518,4 @@ def splice_future(q: TransitionMatrix, x: SymbolicPoint,
     left = x.window(-t - len(x.left_period), -t - 1)
     cyc = shortest_return_cycle(q, w[-1])
     right = cyc[1:] + (cyc[0],)
-    z = SymbolicPoint(left, past + w, right, t)
-    validate_point(z, q)
-    return z
+    return SymbolicPoint(left, past + w, right, t)

@@ -3,6 +3,11 @@
 The conjugacy convention throughout is A(x) = C(shift x) B(x) C(x)^{-1}.
 Values of C are propagated from per-symbol basepoint seeds by two-leg
 holonomy transport: a value moves along a leg as C -> H^A C (H^B)^{-1}.
+Each stage is locally constant, so the transport is done in one way only:
+tabulated over all window words at once (``_Transport`` and the
+evaluators' ``tabulate``).  The peel keeps a table of every stage for each
+transport order, us and su; a value at a single point is the one-window
+table build at that point.
 For block upper-triangular pairs the superdiagonal peel recovers C block by
 block: orthogonal diagonal blocks first, then one upper-diagonal offset at
 a time through 2x2-block subsystems, conjugating off each recovered layer.
@@ -30,7 +35,6 @@ from .cocycle import (
     iterate,
     iterate_many,
 )
-from .holonomy import stable_holonomy, unstable_holonomy
 from .linalg import condition_number
 from .sft import (
     BudgetExceededError,
@@ -40,7 +44,6 @@ from .sft import (
     TransitionMatrix,
     Word,
     admissible_words,
-    bracket,
     distance,
     periodic_point,
     shortest_return_cycle,
@@ -68,18 +71,6 @@ def default_basepoints(q: TransitionMatrix) -> tuple[SymbolicPoint, ...]:
     """One periodic basepoint per symbol i, lying in the cylinder [0; i]."""
     return tuple(periodic_point(q, shortest_return_cycle(q, i)).as_point()
                  for i in range(q.size))
-
-
-def _leg(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
-         value: np.ndarray, frm: SymbolicPoint, to: SymbolicPoint,
-         kind: str) -> np.ndarray:
-    if kind == "stable":
-        ha = stable_holonomy(a, frm, to).matrix
-        hb = stable_holonomy(b, frm, to).matrix
-    else:
-        ha = unstable_holonomy(a, frm, to).matrix
-        hb = unstable_holonomy(b, frm, to).matrix
-    return ha @ value @ np.linalg.inv(hb)
 
 
 class _Transport:
@@ -114,6 +105,15 @@ class _Transport:
         n = a.window_radius if kind == "stable" else -a.window_radius
         return np.linalg.solve(iterate_many(a, to, n), iterate_many(a, frm, n))
 
+    @classmethod
+    def at(cls, transports: Sequence["TransferEvaluator"], x: SymbolicPoint,
+           order: str) -> "_Transport":
+        """The transport to x alone, over its window at the stage radius
+        2 max(k_a, k_b) of the evaluators ``transports``."""
+        r = 2 * max(max(t.cocycle_a.window_radius, t.cocycle_b.window_radius)
+                    for t in transports)
+        return cls(transports[0].basepoints, np.array([x.window(-r, r)]), order)
+
 
 @dataclass(frozen=True, eq=False)
 class TransferEvaluator:
@@ -137,31 +137,17 @@ class TransferEvaluator:
                 raise ValueError(f"base value {i} is not safely invertible")
 
     def evaluate(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
-        """Two-leg transport of the seed at the basepoint sharing x_0.
-
-        order "us": stable leg basepoint -> bracket(x, basepoint), then
-        unstable leg on to x.  order "su" runs the legs through the other
-        bracket point.
-        """
-        i = x[0]
-        w = self.basepoints[i]
-        value = np.asarray(self.base_values[i], dtype=float)
-        a, b = self.cocycle_a, self.cocycle_b
-        if order == "us":
-            mid, legs = bracket(x, w), ("stable", "unstable")  # past of x
-        elif order == "su":
-            mid, legs = bracket(w, x), ("unstable", "stable")  # future of x
-        else:
-            raise ValueError(f"unknown transport order {order!r}")
-        value = _leg(a, b, value, w, mid, legs[0])
-        return _leg(a, b, value, mid, x, legs[1])
+        """Two-leg transport of the seed at the basepoint sharing x_0: order
+        "us" runs a stable leg to the point with x's past and the
+        basepoint's future, then an unstable leg on to x; order "su" runs
+        the legs through the other bracket point."""
+        return self.tabulate(_Transport.at((self,), x, order))[0]
 
     def __call__(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
         return self.evaluate(x, order)
 
     def tabulate(self, paths: _Transport) -> np.ndarray:
-        """:meth:`evaluate` at every window of ``paths``, as one stack formed
-        with the same operations in the same order."""
+        """The transported seeds at every window of ``paths``, as one stack."""
         value = np.array(self.base_values, dtype=float)[paths.symbols]
         for leg in paths.legs:
             value = ((paths.holonomies(self.cocycle_a, leg) @ value)
@@ -377,15 +363,11 @@ class _DiagonalStage:
     evaluators: tuple[TransferEvaluator, ...]
 
     def evaluate(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
-        d = self.descriptor.dim
-        o = self.descriptor.offsets()
-        out = np.zeros((d, d))
-        for t, ev in enumerate(self.evaluators):
-            out[o[t]:o[t + 1], o[t]:o[t + 1]] = ev.evaluate(x, order=order)
-        return out
+        return self.tabulate(_Transport.at(self.evaluators, x, order))[0]
 
     def tabulate(self, paths: _Transport) -> np.ndarray:
-        """:meth:`evaluate` at every window of ``paths``, as one stack."""
+        """The block-diagonal stage value at every window of ``paths``, as
+        one stack."""
         d = self.descriptor.dim
         o = self.descriptor.offsets()
         out = np.zeros((len(paths.symbols), d, d))
@@ -401,17 +383,12 @@ class _OffsetStage:
     corners: tuple[tuple[int, CornerEvaluator], ...]
 
     def evaluate(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
-        d = self.descriptor.dim
-        o = self.descriptor.offsets()
-        out = np.eye(d)
-        for i, ev in self.corners:
-            j = i + self.offset
-            out[o[i]:o[i + 1], o[j]:o[j + 1]] = ev.evaluate(x, order=order)
-        return out
+        subsystems = [ev.subsystem for _, ev in self.corners]
+        return self.tabulate(_Transport.at(subsystems, x, order))[0]
 
     def tabulate(self, paths: _Transport) -> np.ndarray:
-        """:meth:`evaluate` at every window of ``paths``, as one stack; the
-        corner checks run window by window, in window order."""
+        """The unipotent stage value at every window of ``paths``, as one
+        stack; the corner checks run window by window, in window order."""
         d = self.descriptor.dim
         o = self.descriptor.offsets()
         out = np.tile(np.eye(d), (len(paths.symbols), 1, 1))
@@ -430,7 +407,9 @@ class PeeledEvaluator:
     """Composed transfer evaluator produced by the superdiagonal peel.
 
     Stages apply in construction order: the value at x is the left-ordered
-    product stage_R(x) ... stage_0(x).
+    product stage_R(x) ... stage_0(x) of the kept stages' tables, read from
+    ``stage_tables`` (minimized) for us transport and from ``su_tables``
+    (at the stage radius) for su transport.
     """
 
     cocycle_a: LocallyConstantCocycle
@@ -439,6 +418,7 @@ class PeeledEvaluator:
     basepoints: tuple[SymbolicPoint, ...]
     stages: list = field(default_factory=list)
     stage_tables: list = field(default_factory=list)
+    su_tables: list = field(default_factory=list)
     stage_names: list = field(default_factory=list)
     stage_residuals: list = field(default_factory=list)
     final_residual: float = 0.0
@@ -447,14 +427,8 @@ class PeeledEvaluator:
         if order not in ("us", "su"):
             raise ValueError(f"unknown transport order {order!r}")
         out = np.eye(self.descriptor.dim)
-        if order == "us":
-            # The materialized stage tables agree with the us-ordered
-            # transport by construction; lookups are much cheaper.
-            for table in self.stage_tables:
-                out = evaluate(table, x) @ out
-            return out
-        for stage in self.stages:
-            out = stage.evaluate(x, order=order) @ out
+        for table in self.stage_tables if order == "us" else self.su_tables:
+            out = evaluate(table, x) @ out
         return out
 
     def __call__(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
@@ -505,11 +479,16 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
     def install_stage(stage, name: str, check_blocks) -> None:
         nonlocal b_current, cond_scale
         radius = 2 * max(a.window_radius, b_current.window_radius)
-        table = materialize(
-            a.q, lambda words: stage.tabulate(_Transport(basepoints, words)),
-            radius, desc.dim)
-        table = minimize_table(table)
-        if not _is_identity_table(table):
+
+        def tabulated(order: str) -> LocallyConstantCocycle:
+            return materialize(
+                a.q, lambda words: stage.tabulate(_Transport(basepoints, words, order)),
+                radius, desc.dim)
+
+        full = tabulated("us")
+        table = minimize_table(full)
+        kept = not _is_identity_table(table)
+        if kept:
             result.stages.append(stage)
             result.stage_tables.append(table)
             result.stage_names.append(name)
@@ -517,12 +496,18 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
             b_current = minimize_table(b_current)
             cond_scale *= max(condition_number(m) for m in table.table.values())
             for s in range(a.q.size):
-                acc[s] = stage.evaluate(basepoints[s], order="us") @ acc[s]
+                acc[s] = evaluate(full, basepoints[s]) @ acc[s]
         residual = _block_difference(a, b_current, desc, check_blocks)
         stage_tol = tol * cond_scale
         if residual > stage_tol:
             raise StageError(name, residual, stage_tol)
         result.stage_residuals.append(residual)
+        if kept:
+            # After the block check, whose failure is reported before the
+            # su corner checks.  Not minimized: minimize_table keeps the
+            # first refinement of each group, which equals the others only
+            # to its tolerance, and su values are the transport bit for bit.
+            result.su_tables.append(tabulated("su"))
 
     # (i) + (ii): orthogonal diagonal blocks.
     diag_evs = []

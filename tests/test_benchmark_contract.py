@@ -7,7 +7,8 @@ of them breaks the benchmark, so one test enters and leaves the tracer and
 checks that each name was found, wrapped and put back.  Another runs a peel
 with and without the tracer: the tables must not change, and the tracer's
 ``transfer.materialize.windows`` must count every window the peel
-tabulated, which it does only while each stage goes through ``materialize``.
+tabulated, which it does only while each stage, in both transport orders,
+goes through ``materialize``.
 """
 
 import importlib
@@ -87,6 +88,8 @@ def test_traced_peel_equals_untraced_and_counts_its_windows(monkeypatch):
     with tracing.Tracer() as tracer:
         traced = transfer.superdiagonal_peel(fix.base, fix.result, desc, seeds)
     assert tables(traced) == tables(plain)
-    assert len(sizes) == desc.num_blocks  # the diagonal stage and each offset
+    # one us table for the diagonal stage and each offset, and one su table
+    # for each kept stage
+    assert len(sizes) == desc.num_blocks + len(traced.su_tables)
     windows, _ = tracing.layer_metrics(tracer, 1)["transfer.materialize.windows"]
     assert windows == sum(sizes) > 0

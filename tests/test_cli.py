@@ -195,6 +195,23 @@ def _setting(*keys, value):
     ("shadow", _setting("experiment", "ms", value=[4, 8.5]), "$.experiment.ms"),
     ("shadow", _setting("experiment", "flag_dims", value=[1, 2.5]),
      "$.experiment.flag_dims"),
+    # integers below the bound that the library enforces on them
+    *(pytest.param(kind, _setting(*keys, value=value), "$." + ".".join(keys),
+                   id=f"{kind}-{keys[-1]}-{value}")
+      for kind, keys, value in [
+          ("exponents", ("experiment", "seed"), -1),
+          ("exponents", ("experiment", "budgets", "samples"), -3),
+          ("exponents", ("experiment", "n"), 0),
+          ("exponents", ("experiment", "trials"), 0),
+          ("exponents", ("cocycle", "window_radius"), -1),
+          ("blocks", ("experiment", "N"), 0),
+          ("blocks", ("experiment", "s_max"), 0),
+          ("shadow", ("experiment", "b"), 0),
+          ("shadow", ("experiment", "c"), -2),
+          ("shadow", ("experiment", "ms"), [4, 0]),
+          ("shadow", ("experiment", "N"), 0),
+          ("reconstruct", ("experiment", "samples"), 0),
+      ]),
     ("exponents", _bad_word_budget, "$.experiment.budgets.words"),
     ("exponents", _list_budgets, "$.experiment.budgets"),
     ("reconstruct", _bad_block_dims, "$.descriptor.block_dims"),

@@ -175,11 +175,14 @@ def test_connecting_word_periodic_support():
 
 def test_close_and_splice(golden, rng):
     x = close_word(golden, (1, 0, 0, 1, 0), origin_offset=2)
+    validate_point(x, golden)
     assert [x[n] for n in range(-2, 3)] == [1, 0, 0, 1, 0]
     y = splice_past(golden, x, (0, 1, 0))
+    validate_point(y, golden)
     assert all(y[n] == x[n] for n in range(0, 30))
     assert [y[n] for n in range(-3, 0)] == [0, 1, 0]
     z = splice_future(golden, x, (0, 0, 1))
+    validate_point(z, golden)
     assert all(z[n] == x[n] for n in range(-30, 1))
     assert [z[n] for n in range(1, 4)] == [0, 0, 1]
 
@@ -296,9 +299,11 @@ def test_bracket_and_splices_keep_their_coordinates(pair, past, future):
         with pytest.raises(ValueError, match="zero coordinates differ"):
             bracket(x, y)
     z = splice_past(q, x, past)
+    validate_point(z, q)
     assert all(z[n] == x[n] for n in range(0, SCAN + 1))
     assert [z[n] for n in range(-len(past), 0)] == past
     z = splice_future(q, x, future)
+    validate_point(z, q)
     assert all(z[n] == x[n] for n in range(-SCAN, 1))
     assert [z[n] for n in range(1, len(future) + 1)] == future
 

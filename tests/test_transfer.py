@@ -34,6 +34,7 @@ from cocyclib.transfer import (
     _Transport,
     conjugacy_residual,
     default_basepoints,
+    embed_corner,
     holder_estimate,
     materialize,
     minimize_table,
@@ -479,15 +480,51 @@ def _words(points, r):
     return np.array([x.window(-r, r) for x in points])
 
 
+def reference_transport(t, x, order):
+    """Two-leg transport of a TransferEvaluator's seed to x, one point at a
+    time: each leg's holonomies by stable_holonomy/unstable_holonomy through
+    the bracket point, the value moved as (ha @ value) @ inv(hb)."""
+    w = t.basepoints[x[0]]
+    if order == "us":
+        mid, kinds = bracket(x, w), (stable_holonomy, unstable_holonomy)
+    else:
+        mid, kinds = bracket(w, x), (unstable_holonomy, stable_holonomy)
+    value = np.asarray(t.base_values[x[0]], dtype=float)
+    for holonomy, frm, to in ((kinds[0], w, mid), (kinds[1], mid, x)):
+        value = ((holonomy(t.cocycle_a, frm, to).matrix @ value)
+                 @ np.linalg.inv(holonomy(t.cocycle_b, frm, to).matrix))
+    return value
+
+
+def reference_stage(stage, x, order):
+    """A peel stage's value at x from reference_transport: the diagonal
+    blocks of a diagonal stage, or the corners of an offset stage's
+    subsystems placed above an identity diagonal."""
+    desc = stage.descriptor
+    o = desc.offsets()
+    if hasattr(stage, "evaluators"):
+        out = np.zeros((desc.dim, desc.dim))
+        for t, ev in enumerate(stage.evaluators):
+            out[o[t]:o[t + 1], o[t]:o[t + 1]] = reference_transport(ev, x, order)
+        return out
+    out = np.eye(desc.dim)
+    for i, ev in stage.corners:
+        j = i + stage.offset
+        out[o[i]:o[i + 1], o[j]:o[j + 1]] = \
+            reference_transport(ev.subsystem, x, order)[:ev.d_top, ev.d_top:]
+    return out
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1),
-       dims=st.sampled_from([(1, 1), (1, 1, 1), (2, 1)]),
+       dims=st.sampled_from([(1, 1), (1, 1, 1), (2, 1), (1, 2)]),
        window=st.integers(0, 2), golden=st.booleans())
 @example(seed=3, dims=(2, 1), window=0, golden=False)
+@example(seed=3, dims=(1, 2), window=0, golden=False)
 @example(seed=3, dims=(1, 1, 1), window=2, golden=True)
 def test_batched_stages_equal_per_window_transport(seed, dims, window, golden):
-    # exact equality: the batched transport must do the per-point arithmetic
-    # in the same order, from the same identity start
+    # exact equality with the point-by-point rule: the batched transport
+    # must do its arithmetic in the same order, from the same identity start
     q, mu = ((golden_mean_shift(), golden_mean_markov()) if golden
              else (full_shift(2), uniform_bernoulli(2)))
     a, b, c = _rotated_fixture(seed, dims, q, window)
@@ -500,18 +537,37 @@ def test_batched_stages_equal_per_window_transport(seed, dims, window, golden):
     desc = ZimmerDescriptor(dims, 0.0)
     # A has window 0, so its holonomies are the identity: peel the pair in
     # both directions, so that both cocycles of a leg have nontrivial ones.
-    for ev in (superdiagonal_peel(a, b, desc, [np.linalg.inv(m) for m in c]),
-               superdiagonal_peel(b, a, desc, c)):
+    o = desc.offsets()
+    for first, second, seeds in ((a, b, [np.linalg.inv(m) for m in c]), (b, a, c)):
+        ev = superdiagonal_peel(first, second, desc, seeds)
         assert ev.stage_names[0] == "diagonal"
+        su = [np.eye(desc.dim) for _ in points]
+        # each stage starts from the seeds with the earlier stages' values
+        # at the basepoints taken off
+        acc = [np.eye(desc.dim) for _ in bps]
         for stage in ev.stages:
             transports = _stage_transports(stage)
+            remaining = [np.asarray(m, float) @ np.linalg.inv(n)
+                         for m, n in zip(seeds, acc)]
+            blocks = ([(t, t) for t in range(len(dims))] if hasattr(stage, "evaluators")
+                      else [(i, i + stage.offset) for i, _ in stage.corners])
+            for t, (i, j) in zip(transports, blocks):
+                expected = [m[o[i]:o[i + 1], o[j]:o[j + 1]] for m in remaining]
+                if i != j:
+                    expected = [embed_corner(m, o[i + 1] - o[i], o[j + 1] - o[j])
+                                for m in expected]
+                assert same_bits(t.base_values, expected)
+            acc = [reference_stage(stage, w, "us") @ m for w, m in zip(bps, acc)]
             # the stage radius of superdiagonal_peel
             r = 2 * max(max(t.cocycle_a.window_radius, t.cocycle_b.window_radius)
                         for t in transports)
-            assert same_bits(stage.tabulate(_Transport(bps, _words(points, r))),
-                             [stage.evaluate(x, "us") for x in points])
             for order in ("us", "su"):
                 paths = _Transport(bps, _words(points, r), order)
+                expected = [reference_stage(stage, x, order) for x in points]
+                assert same_bits(stage.tabulate(paths), expected)
+                assert same_bits([stage.evaluate(x, order) for x in points], expected)
+                if order == "su":
+                    su = [m @ n for m, n in zip(expected, su)]
                 bases = [bps[x[0]] for x in points]
                 if order == "us":
                     mids = [bracket(x, w) for x, w in zip(points, bases)]
@@ -521,13 +577,15 @@ def test_batched_stages_equal_per_window_transport(seed, dims, window, golden):
                     kinds = (unstable_holonomy, stable_holonomy)
                 legs = ((kinds[0], bases, mids), (kinds[1], mids, points))
                 for t in transports:
-                    assert same_bits(t.tabulate(paths),
-                                     [t.evaluate(x, order) for x in points])
+                    expected = [reference_transport(t, x, order) for x in points]
+                    assert same_bits(t.tabulate(paths), expected)
+                    assert same_bits([t.evaluate(x, order) for x in points], expected)
                     for cocycle in (t.cocycle_a, t.cocycle_b):
                         for leg, (holonomy, frm, to) in zip(paths.legs, legs):
                             assert same_bits(paths.holonomies(cocycle, leg),
                                              [holonomy(cocycle, y, z).matrix
                                               for y, z in zip(frm, to)])
+        assert same_bits([ev.evaluate(x, "su") for x in points], su)
 
 
 def test_corner_diagonal_check_trips_in_both_paths(q2):
