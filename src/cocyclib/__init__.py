@@ -67,7 +67,6 @@ from .transfer import (  # noqa: F401
     TransferEvaluator,
     holder_estimate,
     periodic_consistency_solve,
-    propagate,
     superdiagonal_peel,
     two_block_recover,
     verify_conjugacy,

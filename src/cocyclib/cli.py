@@ -58,7 +58,8 @@ from .transfer import (
     superdiagonal_peel,
     verify_conjugacy,
 )
-from .zimmer import ZimmerDescriptor, membership, random_element
+from .zimmer import MEMBERSHIP_TOL, ZimmerDescriptor, membership, \
+    membership_residuals, random_element
 
 EXPERIMENT_KINDS = ("exponents", "holonomy", "blocks", "shadow", "reconstruct",
                     "verify-zimmer", "example-unipotent")
@@ -113,8 +114,9 @@ def _integer(value: Any, minimum: int | None = None) -> int:
 
 
 def _at_least(minimum: int) -> Callable[[Any], int]:
-    """:func:`_integer` with the lower bound that the library function fed
-    by the value enforces."""
+    """:func:`_integer` with a lower bound: the one that the library
+    function fed by the value enforces, or 1 for a count below which a check
+    would pass on no data."""
     return lambda value: _integer(value, minimum)
 
 
@@ -221,7 +223,7 @@ def _run_exponents(cfg, q, metric, exp, rng, budgets):
     n = _value(exp, "$.experiment.n", _at_least(1), 2)
     trials = min(_value(exp, "$.experiment.trials", _at_least(1), 2000),
                  budgets["samples"])
-    max_period = _value(exp, "$.experiment.max_period", _integer, 4)
+    max_period = _value(exp, "$.experiment.max_period", _at_least(1), 4)
     results: dict[str, Any] = {}
     rows = []
     for period in range(1, max_period + 1):
@@ -260,7 +262,7 @@ def _run_exponents(cfg, q, metric, exp, rng, budgets):
 def _run_holonomy(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
-    n_pairs = min(_value(exp, "$.experiment.pairs", _integer, 400), budgets["samples"])
+    n_pairs = min(_value(exp, "$.experiment.pairs", _at_least(1), 400), budgets["samples"])
     inter_n = _value(exp, "$.experiment.intertwine_n", _integer, 10)
     tol = _value(exp, "$.experiment.tolerance", float, 1e-12)
     chain_worst = 0.0
@@ -306,7 +308,7 @@ def _run_blocks(cfg, q, metric, exp, rng, budgets):
     with _config_value("$.experiment"):
         params = BlockParams(_value(exp, "$.experiment.N", _at_least(1), 1),
                              _value(exp, "$.experiment.theta", float))
-    max_period = _value(exp, "$.experiment.max_period", _integer, 4)
+    max_period = _value(exp, "$.experiment.max_period", _at_least(1), 4)
     s_max = _value(exp, "$.experiment.s_max", _at_least(1), 8)
     rows = []
     consistent = True
@@ -320,7 +322,7 @@ def _run_blocks(cfg, q, metric, exp, rng, budgets):
             rows.append({"word": word_key(p.cyclic_word),
                          "period": period, "member": bool(exact)})
     probe_rows = []
-    n_probe = min(_value(exp, "$.experiment.probe_points", _integer, 5),
+    n_probe = min(_value(exp, "$.experiment.probe_points", _at_least(1), 5),
                   budgets["samples"])
     grid_n = _value(exp, "$.experiment.probe_n_grid",
                     _list_of(lambda v: type(v) is int and v >= 1, "positive integers"),
@@ -427,19 +429,15 @@ def _run_verify_zimmer(cfg, q, metric, exp, rng, budgets):
     a = build_cocycle(cfg, q)
     desc = build_descriptor(cfg)
     tol = _value(exp, "$.experiment.tolerance", float, 1e-8)
-    worst_lower = 0.0
-    worst_diag = 0.0
-    all_ok = True
-    rows = []
-    for w, m in sorted(a.table.items()):
-        res = membership(m, desc, tol)
-        worst_lower = max(worst_lower, res.lower_residual)
-        worst_diag = max(worst_diag, max(res.diagonal_residuals))
-        all_ok = all_ok and res.ok
-        rows.append({"window": word_key(w), "member": bool(res.ok),
-                     "lower_residual": res.lower_residual,
-                     "diagonal_residual": max(res.diagonal_residuals)})
-    n_products = _value(exp, "$.experiment.closure_products", _integer, 50)
+    diag, lower = membership_residuals(a.stack, desc)
+    diag = diag.max(axis=1)
+    member = (lower <= tol) & (diag <= tol)
+    rows = [{"window": word_key(w), "member": ok, "lower_residual": lr,
+             "diagonal_residual": dr}
+            for w, ok, lr, dr in zip(a.words.tolist(), member.tolist(),
+                                     lower.tolist(), diag.tolist())]
+    worst_lower, worst_diag = max(0.0, *lower.tolist()), max(0.0, *diag.tolist())
+    n_products = _value(exp, "$.experiment.closure_products", _at_least(1), 50)
     closure_ok = True
     for _ in range(n_products):
         m1 = random_element(desc, rng, 1.0)
@@ -454,7 +452,7 @@ def _run_verify_zimmer(cfg, q, metric, exp, rng, budgets):
     checks = [
         _check("table-membership", max(worst_lower, worst_diag), tol,
                "zimmer: every generator value lies in the block",
-               passed=all_ok),
+               passed=bool(member.all())),
         _check("closure", 0.0, 0.0,
                "zimmer: products and inverses stay in the block",
                passed=closure_ok),
@@ -473,7 +471,8 @@ def _run_example_unipotent(cfg, q, metric, exp, rng, budgets):
         formula_exact = formula_exact and bool(np.array_equal(m, expected))
         rows.append({"window": word_key(w),
                      "value": m.tolist(), "expected": expected.tolist()})
-    member_ok = all(membership(m, desc).ok for m in ex.b.table.values())
+    diag, lower = membership_residuals(ex.b.stack, desc)
+    member_ok = bool(np.all(lower <= MEMBERSHIP_TOL) and np.all(diag <= MEMBERSHIP_TOL))
     # a = frame(shift x) b frame(x)^{-1}, so the peel recovers the frame.
     basepoints = default_basepoints(q)
     base_values = [evaluate(ex.frame, w) for w in basepoints]

@@ -4,6 +4,11 @@ A generator is a table from admissible windows of radius k to invertible
 matrices.  Locally constant generators make every construction downstream
 exact: orbit products are finite table products, holonomies stabilize after
 k steps, and integrals over the measure reduce to finite cylinder sums.
+
+A table is stored in one form: the array of its window words, in
+lexicographic order, and the stack of their values.  Table operations
+(conjugation, inversion, scaling, block extraction) act on whole stacks; the
+window -> value mapping is built from them on first read.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -19,6 +25,7 @@ from .sft import (
     SymbolicPoint,
     TransitionMatrix,
     Word,
+    admissible_word_array,
     admissible_words,
     as_word,
     word_key,
@@ -36,7 +43,8 @@ def _orbit_span(k: int, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class OrbitKernel:
-    """Indexed, stacked form of a generator table for batched orbit products.
+    """Indexes of a generator's stack for batched orbit products, derived
+    from its word array.
 
     ``index`` maps each window to its row of ``stack``, and ``inverse`` holds
     the entrywise matrix inverses of ``stack``.  For whole symbol arrays a
@@ -96,9 +104,31 @@ class OrbitKernel:
         return prod
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _check_invertible(words, stack: np.ndarray) -> None:
+    """Raise at the first window of ``words`` (one per matrix of ``stack``)
+    whose matrix is not finite or not safely invertible."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    s = np.linalg.svd(np.where(finite[:, None, None], stack, np.eye(stack.shape[-1])),
+                      compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = ~finite | (s[:, -1] <= 0) | (s[:, 0] / s[:, -1] > MAX_CONDITION)
+    if bad.any():
+        i = int(np.argmax(bad))
+        w = as_word(words[i])
+        raise ValueError(f"non-finite matrix at window {w}" if not finite[i]
+                         else f"matrix at window {w} is not safely invertible")
+
+
 @dataclass(frozen=True, eq=False)
 class LocallyConstantCocycle:
-    """Generator table over admissible windows x_{-k}..x_{k}.
+    """Generator over the admissible windows x_{-k}..x_{k}, stored as the
+    (W, 2k + 1) array ``words`` of those windows in lexicographic order and
+    the (W, d, d) stack of their values, both read-only.
 
     Also used for plain locally constant matrix maps (conjugators, frames):
     the cocycle structure only enters through :func:`iterate`.
@@ -107,36 +137,34 @@ class LocallyConstantCocycle:
     q: TransitionMatrix
     window_radius: int
     dimension: int
-    table: Mapping[Word, np.ndarray]
+    words: np.ndarray
+    stack: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("words", np.int64), ("stack", float)):
+            object.__setattr__(self, name, _read_only(
+                np.ascontiguousarray(getattr(self, name), dtype=dtype)))
 
     @classmethod
     def from_table(cls, q: TransitionMatrix, window_radius: int,
                    table: Mapping) -> "LocallyConstantCocycle":
-        fixed: dict[Word, np.ndarray] = {}
-        dim = None
-        for word, mat in table.items():
-            w = as_word(word)
-            m = np.array(mat, dtype=float)
-            if dim is None:
-                dim = m.shape[0]
+        """Checked constructor from a window -> matrix mapping.  Entries at
+        words that are not admissible windows are checked, not stored."""
+        fixed = {as_word(w): np.array(m, dtype=float) for w, m in table.items()}
+        if not fixed:
+            raise ValueError("empty table")
+        dim = next(iter(fixed.values())).shape[0]
+        for w, m in fixed.items():
             if m.shape != (dim, dim):
                 raise ValueError(f"inconsistent matrix shape at window {w}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"non-finite matrix at window {w}")
-            s = np.linalg.svd(m, compute_uv=False)
-            if s[-1] <= 0 or s[0] / s[-1] > MAX_CONDITION:
-                raise ValueError(f"matrix at window {w} is not safely invertible")
-            fixed[w] = m
-        if dim is None:
-            raise ValueError("empty table")
-        expected = list(admissible_words(q, 2 * window_radius + 1))
-        missing = [w for w in expected if w not in fixed]
+        _check_invertible(list(fixed), np.array(list(fixed.values())))
+        words = admissible_word_array(q, 2 * window_radius + 1)
+        keys = list(map(tuple, words.tolist()))
+        missing = [w for w in keys if w not in fixed]
         if missing:
-            raise ValueError(
-                f"table incomplete: missing admissible windows {missing[:5]}"
-                + ("..." if len(missing) > 5 else "")
-            )
-        return cls(q, window_radius, dim, fixed)
+            raise ValueError(f"table incomplete: missing admissible windows {missing[:5]}"
+                             + ("..." if len(missing) > 5 else ""))
+        return cls(q, window_radius, dim, words, np.array([fixed[w] for w in keys]))
 
     @classmethod
     def from_function(cls, q: TransitionMatrix, window_radius: int,
@@ -152,41 +180,47 @@ class LocallyConstantCocycle:
     @cached_property
     def log_bound(self) -> float:
         """eta = max over the table of log max(||A||, ||A^-1||); always >= 0."""
-        eta = 0.0
-        for m in self.table.values():
-            s = np.linalg.svd(m, compute_uv=False)
-            eta = max(eta, math.log(s[0]), -math.log(s[-1]))
-        return eta
+        s = np.linalg.svd(self.stack, compute_uv=False)
+        return max(0.0, math.log(s[:, 0].max()), -math.log(s[:, -1].min()))
 
     @cached_property
     def kernel(self) -> OrbitKernel:
-        """Window index, stacked table and stacked inverses (built once)."""
+        """Window index, base-q window codes and stacked inverses (built once)."""
         q = self.q.size
         width = 2 * self.window_radius + 1
-        windows = [w for w in self.table
-                   if len(w) == width and all(0 <= s < q for s in w)]
         row_of_code = np.full(q ** width, -1, dtype=np.int64)
-        for row, w in enumerate(windows):
-            code = 0
-            for s in w:
-                code = code * q + s
-            row_of_code[code] = row
-        stack = np.array([self.table[w] for w in windows], dtype=float)
-        identity = np.eye(self.dimension)
-        identity.flags.writeable = False
-        return OrbitKernel(q, width, {w: row for row, w in enumerate(windows)},
-                           row_of_code, stack, np.linalg.inv(stack), identity)
+        row_of_code[np.ravel_multi_index(tuple(self.words.T), (q,) * width)] = \
+            np.arange(len(self.words))
+        identity = _read_only(np.eye(self.dimension))
+        index = {w: row for row, w in enumerate(map(tuple, self.words.tolist()))}
+        return OrbitKernel(q, width, index, row_of_code, self.stack,
+                           np.linalg.inv(self.stack), identity)
+
+    @cached_property
+    def table(self) -> Mapping[Word, np.ndarray]:
+        """Window -> value, built on first read.  Each value is its own
+        read-only copy: numpy operations on a view into the stack cost about
+        a tenth more, and tables are read point by point."""
+        return MappingProxyType({w: _read_only(m.copy()) for w, m
+                                 in zip(map(tuple, self.words.tolist()), self.stack)})
 
     def at(self, word: Word) -> np.ndarray:
         """Value at the centre of a window word of odd length >= 2k + 1."""
         mid, k = len(word) // 2, self.window_radius
         return self.table[word[mid - k: mid + k + 1]]
 
+    def stack_at(self, words: np.ndarray) -> np.ndarray:
+        """The values at the centres of a (W, 2r + 1) array of window words,
+        r >= k, as one (W, d, d) stack: :meth:`at` for every row."""
+        r, k = words.shape[1] // 2, self.window_radius
+        return self.stack[self.kernel.rows(words[:, r - k:r + k + 1])[:, 0]]
+
     def table_jsonable(self) -> dict:
         """Window radius and table, keyed by :func:`~cocyclib.sft.word_key`,
         as the CLI reads a cocycle."""
         return {"window_radius": self.window_radius,
-                "table": {word_key(w): self.table[w].tolist() for w in sorted(self.table)}}
+                "table": {word_key(w): m.tolist()
+                          for w, m in zip(self.words.tolist(), self.stack)}}
 
 
 def evaluate(a: LocallyConstantCocycle, x: SymbolicPoint) -> np.ndarray:
@@ -211,17 +245,19 @@ def _orbit_product(a: LocallyConstantCocycle, mats: np.ndarray,
     return result
 
 
+def _finite(result: np.ndarray, n: int) -> np.ndarray:
+    """An orbit product A^n, or a stack of them, checked for overflow."""
+    if not np.all(np.isfinite(result)):
+        raise OverflowError(f"orbit product at n={n} exceeded floating point range")
+    return result
+
+
 def iterate(a: LocallyConstantCocycle, x: SymbolicPoint, n: int) -> np.ndarray:
     """Orbit product A^n(x): forward product for n > 0, identity at 0, and
     the inverse-factor backward product for n < 0."""
     kern = a.kernel
     with np.errstate(over="ignore", invalid="ignore"):
-        result = _orbit_product(a, kern.stack if n >= 0 else kern.inverse, x, n)
-    if not np.all(np.isfinite(result)):
-        raise OverflowError(
-            f"orbit product at n={n} exceeded floating point range"
-        )
-    return result
+        return _finite(_orbit_product(a, kern.stack if n >= 0 else kern.inverse, x, n), n)
 
 
 def iterate_many(a: LocallyConstantCocycle, words: np.ndarray,
@@ -241,12 +277,7 @@ def iterate_many(a: LocallyConstantCocycle, words: np.ndarray,
             raise ValueError(f"radius-{r} words miss coordinates {lo}..{hi} of A^{n}")
         rows = kern.rows(words[:, lo + r:hi + r + 1])[:, ::1 if n > 0 else -1]
     with np.errstate(over="ignore", invalid="ignore"):
-        result = kern.fold(kern.stack if n >= 0 else kern.inverse, rows)
-    if not np.all(np.isfinite(result)):
-        raise OverflowError(
-            f"orbit product at n={n} exceeded floating point range"
-        )
-    return result
+        return _finite(kern.fold(kern.stack if n >= 0 else kern.inverse, rows), n)
 
 
 def inverse_cocycle(a: LocallyConstantCocycle) -> LocallyConstantCocycle:
@@ -256,8 +287,8 @@ def inverse_cocycle(a: LocallyConstantCocycle) -> LocallyConstantCocycle:
     are reversed-order factors of (A^n)^{-1}; the backward product A^{-n}(x)
     is recovered from the inverted table by :func:`backward_product`.
     """
-    table = {w: np.linalg.inv(m) for w, m in a.table.items()}
-    return LocallyConstantCocycle(a.q, a.window_radius, a.dimension, table)
+    return LocallyConstantCocycle(a.q, a.window_radius, a.dimension, a.words,
+                                  np.linalg.inv(a.stack))
 
 
 def backward_product(inv: LocallyConstantCocycle, x: SymbolicPoint,
@@ -274,22 +305,22 @@ def coboundary_conjugate(a: LocallyConstantCocycle,
     """Conjugated generator x -> u(shift x) A(x) u(x)^{-1}.
 
     u is any locally constant invertible matrix map; the result is locally
-    constant with window radius max(k_A, k_u + 1).
+    constant with window radius max(k_A, k_u + 1), and its values pass the
+    checks of :meth:`LocallyConstantCocycle.from_table`.
     """
     if u.dimension != a.dimension:
         raise ValueError("conjugator dimension does not match the cocycle")
     k = max(a.window_radius, u.window_radius + 1)
-
-    def build(word: Word) -> np.ndarray:
-        # word is x_{-k}..x_{k}, so word[2:] is centred at x_1
-        return u.at(word[2:]) @ a.at(word) @ np.linalg.inv(u.at(word))
-
-    return LocallyConstantCocycle.from_function(a.q, k, build)
+    words = admissible_word_array(a.q, 2 * k + 1)
+    # words[:, 2:] is centred at x_1
+    values = u.stack_at(words[:, 2:]) @ a.stack_at(words) @ np.linalg.inv(u.stack_at(words))
+    _check_invertible(words, values)
+    return LocallyConstantCocycle(a.q, k, a.dimension, words, values)
 
 
 def scale(a: LocallyConstantCocycle, factor: float) -> LocallyConstantCocycle:
-    table = {w: factor * m for w, m in a.table.items()}
-    return LocallyConstantCocycle(a.q, a.window_radius, a.dimension, table)
+    return LocallyConstantCocycle(a.q, a.window_radius, a.dimension, a.words,
+                                  factor * a.stack)
 
 
 def qc_distortion(a: LocallyConstantCocycle, x: SymbolicPoint, n: int) -> float:

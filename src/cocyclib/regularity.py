@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycle import LocallyConstantCocycle, evaluate, iterate
+from .cocycle import LocallyConstantCocycle, _finite, evaluate, iterate
 from .holonomy import composed_holonomy
 from .linalg import Flag, Subspace, largest_principal_angle
 from .measure import MarkovMeasure, sample_point
@@ -201,11 +201,7 @@ def _block_costs(a: LocallyConstantCocycle, x: SymbolicPoint, n_steps: int,
     mats = kern.stack if direction > 0 else kern.inverse
     with np.errstate(over="ignore", invalid="ignore"):
         prods = kern.fold(mats, rows)
-    if not np.all(np.isfinite(prods)):
-        raise OverflowError(
-            f"orbit product at n={direction * n_steps} exceeded floating point range"
-        )
-    return _log_distortions(prods)
+    return _log_distortions(_finite(prods, direction * n_steps))
 
 
 def _prefix_condition(costs: Sequence[float], budget_per_block: float) -> bool:

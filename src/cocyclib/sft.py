@@ -179,9 +179,11 @@ def is_cyclically_admissible(word: Sequence[int] | str, q: TransitionMatrix) -> 
     return is_admissible(w, q) and q.allows(w[-1], w[0])
 
 
-def admissible_words(q: TransitionMatrix, length: int,
-                     budget: int = DEFAULT_WORD_BUDGET) -> Iterator[Word]:
-    """Yield all admissible words of the given length in lexicographic order."""
+def admissible_word_array(q: TransitionMatrix, length: int,
+                          budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
+    """The (W, length) array of all admissible words of the given length, in
+    lexicographic order, grown one column at a time: each word is followed
+    by its extensions through q, in symbol order."""
     if length < 0:
         raise ValueError("length must be nonnegative")
     if q.size ** max(length, 1) > budget:
@@ -189,19 +191,17 @@ def admissible_words(q: TransitionMatrix, length: int,
             f"enumerating words of length {length} over {q.size} symbols "
             f"exceeds the budget of {budget}"
         )
-    if length == 0:
-        yield ()
-        return
+    words = np.arange(q.size)[:, None] if length else np.zeros((1, 0), dtype=np.int64)
+    for _ in range(1, length):
+        parent, sym = np.nonzero(q.as_array[words[:, -1]])
+        words = np.column_stack([words[parent], sym])
+    return words
 
-    def extend(prefix: Word) -> Iterator[Word]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        for s in range(q.size):
-            if not prefix or q.allows(prefix[-1], s):
-                yield from extend(prefix + (s,))
 
-    yield from extend(())
+def admissible_words(q: TransitionMatrix, length: int,
+                     budget: int = DEFAULT_WORD_BUDGET) -> Iterator[Word]:
+    """Yield the rows of :func:`admissible_word_array` as tuples."""
+    yield from map(tuple, admissible_word_array(q, length, budget).tolist())
 
 
 def _cyclic_run(period: Word, start: int, stop: int) -> Word:
@@ -406,12 +406,9 @@ def enumerate_periodic(q: TransitionMatrix, n: int,
     n-th shift power.  The count equals trace(Q^n)."""
     if n < 1:
         raise ValueError("period must be >= 1")
-    if q.size ** n > budget:
-        raise BudgetExceededError(
-            f"enumerating periodic points of period {n} exceeds budget {budget}"
-        )
-    return [PeriodicPoint(w) for w in admissible_words(q, n, budget)
-            if q.allows(w[-1], w[0])]
+    words = admissible_word_array(q, n, budget)
+    cyclic = words[q.as_array[words[:, -1], words[:, 0]].astype(bool)]
+    return [PeriodicPoint(w) for w in map(tuple, cyclic.tolist())]
 
 
 def _reach_sets(q: TransitionMatrix, target: int, steps: int) -> list[set[int]]:

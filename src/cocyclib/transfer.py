@@ -42,13 +42,13 @@ from .sft import (
     PeriodicPoint,
     SymbolicPoint,
     TransitionMatrix,
-    Word,
-    admissible_words,
+    admissible_word_array,
+    as_word,
     distance,
     periodic_point,
     shortest_return_cycle,
 )
-from .zimmer import ZimmerDescriptor, membership
+from .zimmer import ZimmerDescriptor, membership_residuals
 
 HOLDER_SENTINEL = math.inf
 
@@ -143,9 +143,6 @@ class TransferEvaluator:
         the legs through the other bracket point."""
         return self.tabulate(_Transport.at((self,), x, order))[0]
 
-    def __call__(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
-        return self.evaluate(x, order)
-
     def tabulate(self, paths: _Transport) -> np.ndarray:
         """The transported seeds at every window of ``paths``, as one stack."""
         value = np.array(self.base_values, dtype=float)[paths.symbols]
@@ -169,13 +166,6 @@ class TransferEvaluator:
         }
 
 
-def propagate(evaluator, x: SymbolicPoint, order: str = "us") -> np.ndarray:
-    """Evaluate a transfer evaluator (or plain callable) at a point."""
-    if hasattr(evaluator, "evaluate"):
-        return evaluator.evaluate(x, order=order)
-    return evaluator(x)
-
-
 # ---------------------------------------------------------------------------
 # block extraction helpers
 
@@ -183,25 +173,19 @@ def propagate(evaluator, x: SymbolicPoint, order: str = "us") -> np.ndarray:
 def block_cocycle(a: LocallyConstantCocycle, desc: ZimmerDescriptor,
                   i: int) -> LocallyConstantCocycle:
     """Generator of the i-th diagonal block (valid for block-triangular tables)."""
-    table = {w: desc.block(m, i, i).copy() for w, m in a.table.items()}
-    return LocallyConstantCocycle(a.q, a.window_radius, desc.block_dims[i], table)
+    return LocallyConstantCocycle(a.q, a.window_radius, desc.block_dims[i], a.words,
+                                  desc.block(a.stack, i, i))
 
 
 def subsystem_cocycle(a: LocallyConstantCocycle, desc: ZimmerDescriptor,
                       i: int, j: int) -> LocallyConstantCocycle:
     """2x2-block corner subsystem [[M_ii, M_ij], [0, M_jj]]; again a cocycle."""
-    di, dj = desc.block_dims[i], desc.block_dims[j]
-    d = di + dj
-
-    def embed(m: np.ndarray) -> np.ndarray:
-        out = np.zeros((d, d))
-        out[:di, :di] = desc.block(m, i, i)
-        out[:di, di:] = desc.block(m, i, j)
-        out[di:, di:] = desc.block(m, j, j)
-        return out
-
-    table = {w: embed(m) for w, m in a.table.items()}
-    return LocallyConstantCocycle(a.q, a.window_radius, d, table)
+    di, d = desc.block_dims[i], desc.block_dims[i] + desc.block_dims[j]
+    out = np.zeros((len(a.words), d, d))
+    out[:, :di, :di] = desc.block(a.stack, i, i)
+    out[:, :di, di:] = desc.block(a.stack, i, j)
+    out[:, di:, di:] = desc.block(a.stack, j, j)
+    return LocallyConstantCocycle(a.q, a.window_radius, d, a.words, out)
 
 
 def embed_corner(corner: np.ndarray, di: int, dj: int) -> np.ndarray:
@@ -212,73 +196,65 @@ def embed_corner(corner: np.ndarray, di: int, dj: int) -> np.ndarray:
 
 def _check_membership(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
                       desc: ZimmerDescriptor, tol: float) -> None:
+    """Raise for the first cocycle, and in it the first window in window
+    order, whose value fails :func:`~cocyclib.zimmer.membership`."""
     for cocycle, name in ((a, "first"), (b, "second")):
-        for w, m in cocycle.table.items():
-            if not membership(m, desc, tol):
-                raise ValueError(f"{name} cocycle fails membership at window {w}")
+        diag, lower = membership_residuals(cocycle.stack, desc)
+        failed = np.flatnonzero(~((lower <= tol) & (diag <= tol).all(axis=1)))
+        if failed.size:
+            w = as_word(cocycle.words[failed[0]])
+            raise ValueError(f"{name} cocycle fails membership at window {w}")
 
 
 def _block_difference(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
                       desc: ZimmerDescriptor,
                       blocks: Sequence[tuple[int, int]]) -> float:
     """Max norm difference of the chosen blocks over a common refinement."""
-    radius = max(a.window_radius, b.window_radius)
-    worst = 0.0
-    for w in admissible_words(a.q, 2 * radius + 1):
-        va, vb = a.at(w), b.at(w)
-        for i, j in blocks:
-            worst = max(worst, float(np.max(np.abs(
-                desc.block(va, i, j) - desc.block(vb, i, j)))))
-    return worst
+    words = admissible_word_array(a.q, 2 * max(a.window_radius, b.window_radius) + 1)
+    va, vb = a.stack_at(words), b.stack_at(words)
+    return max([0.0] + [float(np.max(np.abs(desc.block(va, i, j) - desc.block(vb, i, j))))
+                        for i, j in blocks])
 
 
 def materialize(q: TransitionMatrix,
                 func: Callable[[np.ndarray], np.ndarray],
                 radius: int, dimension: int,
-                budget: int = MATERIALIZE_BUDGET) -> LocallyConstantCocycle:
+                budget: int = MATERIALIZE_BUDGET,
+                words: np.ndarray | None = None) -> LocallyConstantCocycle:
     """Tabulate a locally constant function over admissible windows.
 
     ``func`` takes the (windows, 2 radius + 1) array of all window words,
     in lexicographic order, and returns their values as one
-    (windows, dimension, dimension) stack.
+    (windows, dimension, dimension) stack.  A caller that already holds
+    that array passes it as ``words``.
     """
     if q.size ** (2 * radius + 1) > budget:
         raise BudgetExceededError(
             f"materializing a window-{radius} table exceeds the budget"
         )
-    words = list(admissible_words(q, 2 * radius + 1))
-    values = func(np.array(words, dtype=np.int64))
-    # Each entry gets its own array: numpy operations on a view into the
-    # stack cost about a tenth more, and tables are read point by point.
-    return LocallyConstantCocycle(q, radius, dimension,
-                                  {w: v.copy() for w, v in zip(words, values)})
+    if words is None:
+        words = admissible_word_array(q, 2 * radius + 1)
+    return LocallyConstantCocycle(q, radius, dimension, words, func(words))
 
 
 def minimize_table(a: LocallyConstantCocycle, tol: float = 1e-13) -> LocallyConstantCocycle:
-    """Shrink the window radius while all refinements of a subword agree."""
+    """Shrink the window radius while all refinements of a subword agree.
+    Each subword keeps the value of its first refinement in window order."""
     current = a
     while current.window_radius > 0:
-        k = current.window_radius
-        groups: dict[Word, np.ndarray] = {}
-        ok = True
-        for w, m in current.table.items():
-            sub = w[1:-1]
-            if sub in groups:
-                if np.max(np.abs(groups[sub] - m)) > tol:
-                    ok = False
-                    break
-            else:
-                groups[sub] = m
-        if not ok:
+        sub = current.words[:, 1:-1]
+        codes = np.ravel_multi_index(tuple(sub.T), (a.q.size,) * sub.shape[1])
+        _, first, group = np.unique(codes, return_index=True, return_inverse=True)
+        kept = current.stack[first]
+        if np.any(np.max(np.abs(kept[group.ravel()] - current.stack), axis=(1, 2)) > tol):
             return current
-        current = LocallyConstantCocycle(current.q, k - 1, current.dimension,
-                                         dict(groups))
+        current = LocallyConstantCocycle(current.q, current.window_radius - 1,
+                                         current.dimension, sub[first], kept)
     return current
 
 
 def _is_identity_table(a: LocallyConstantCocycle, tol: float = 1e-12) -> bool:
-    eye = np.eye(a.dimension)
-    return all(np.max(np.abs(m - eye)) <= tol for m in a.table.values())
+    return bool(np.all(np.abs(a.stack - np.eye(a.dimension)) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +275,6 @@ class CornerEvaluator:
         if residual > self.diag_tol:
             raise StageError("corner-transport-diagonal", float(residual), self.diag_tol)
         return corner
-
-    def __call__(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
-        return self.evaluate(x, order)
 
     def _split(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Corner block of subsystem values (d, d) or (W, d, d), and how far
@@ -431,9 +404,6 @@ class PeeledEvaluator:
             out = evaluate(table, x) @ out
         return out
 
-    def __call__(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
-        return self.evaluate(x, order)
-
     def to_jsonable(self) -> dict:
         tables = [{"stage": name, **table.table_jsonable()}
                   for name, table in zip(self.stage_names, self.stage_tables)]
@@ -480,10 +450,10 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
         nonlocal b_current, cond_scale
         radius = 2 * max(a.window_radius, b_current.window_radius)
 
-        def tabulated(order: str) -> LocallyConstantCocycle:
+        def tabulated(order: str, words: np.ndarray | None = None) -> LocallyConstantCocycle:
             return materialize(
-                a.q, lambda words: stage.tabulate(_Transport(basepoints, words, order)),
-                radius, desc.dim)
+                a.q, lambda w: stage.tabulate(_Transport(basepoints, w, order)),
+                radius, desc.dim, words=words)
 
         full = tabulated("us")
         table = minimize_table(full)
@@ -492,11 +462,13 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
             result.stages.append(stage)
             result.stage_tables.append(table)
             result.stage_names.append(name)
-            b_current = coboundary_conjugate(b_current, table)
-            b_current = minimize_table(b_current)
-            cond_scale *= max(condition_number(m) for m in table.table.values())
-            for s in range(a.q.size):
-                acc[s] = evaluate(full, basepoints[s]) @ acc[s]
+            b_current = minimize_table(coboundary_conjugate(b_current, table))
+            # the largest condition number of the table's values
+            sv = np.linalg.svd(table.stack, compute_uv=False)
+            with np.errstate(divide="ignore"):
+                cond_scale *= float(np.max(sv[:, 0] / sv[:, -1]))
+            at_base = full.stack_at(np.array([w.window(-radius, radius) for w in basepoints]))
+            acc[:] = [m @ n for m, n in zip(at_base, acc)]
         residual = _block_difference(a, b_current, desc, check_blocks)
         stage_tol = tol * cond_scale
         if residual > stage_tol:
@@ -507,7 +479,7 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
             # su corner checks.  Not minimized: minimize_table keeps the
             # first refinement of each group, which equals the others only
             # to its tolerance, and su values are the transport bit for bit.
-            result.su_tables.append(tabulated("su"))
+            result.su_tables.append(tabulated("su", full.words))
 
     # (i) + (ii): orthogonal diagonal blocks.
     diag_evs = []
@@ -574,8 +546,8 @@ class ConjugacyReport:
 
 def conjugacy_residual(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
                        evaluator, x: SymbolicPoint, order: str = "us") -> float:
-    c_here = propagate(evaluator, x, order)
-    c_next = propagate(evaluator, x.shifted(1), order)
+    c_here = evaluator.evaluate(x, order)
+    c_next = evaluator.evaluate(x.shifted(1), order)
     lhs = evaluate(a, x)
     rhs = c_next @ evaluate(b, x) @ np.linalg.inv(c_here)
     return float(np.max(np.abs(lhs - rhs)))
@@ -614,7 +586,7 @@ def holder_estimate(evaluator, pairs: Sequence[tuple[SymbolicPoint, SymbolicPoin
         d = distance(x, y, metric)
         if d == 0.0 or d > cutoff:
             continue
-        gap = float(np.max(np.abs(propagate(evaluator, x) - propagate(evaluator, y))))
+        gap = float(np.max(np.abs(evaluator.evaluate(x) - evaluator.evaluate(y))))
         if gap <= 1e-15:
             continue
         logs_d.append(math.log(d))

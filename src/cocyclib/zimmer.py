@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import LocallyConstantCocycle, scale
-from .linalg import operator_norm
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -48,8 +47,9 @@ class ZimmerDescriptor:
         return tuple(out)
 
     def block(self, m: np.ndarray, i: int, j: int) -> np.ndarray:
+        """Block (i, j) of a matrix, or of every matrix of a stack."""
         o = self.offsets()
-        return np.asarray(m)[o[i]:o[i + 1], o[j]:o[j + 1]]
+        return np.asarray(m)[..., o[i]:o[i + 1], o[j]:o[j + 1]]
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,25 @@ class MembershipResult:
     diagonal_residuals: tuple[float, ...]
     lower_residual: float
 
-    def __bool__(self) -> bool:
-        return self.ok
+
+def membership_residuals(stack: np.ndarray, descriptor: ZimmerDescriptor
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The (W, k) diagonal and (W,) lower residuals of :func:`membership`
+    for every matrix of a (W, d, d) stack."""
+    d = descriptor.dim
+    if stack.shape[1:] != (d, d):
+        raise ValueError(f"matrix shape {stack.shape[1:]} does not match descriptor dim {d}")
+    lower = np.zeros(len(stack))
+    scale_back = math.exp(-descriptor.exponent)
+    diag = []
+    for i in range(descriptor.num_blocks):
+        for j in range(i):
+            block = descriptor.block(stack, i, j)
+            lower = np.maximum(lower, np.linalg.svd(block, compute_uv=False)[:, 0])
+        b = scale_back * descriptor.block(stack, i, i)
+        gram = b.transpose(0, 2, 1) @ b - np.eye(b.shape[-1])
+        diag.append(np.linalg.svd(gram, compute_uv=False)[:, 0])
+    return np.stack(diag, axis=1), lower
 
 
 def membership(m: np.ndarray, descriptor: ZimmerDescriptor,
@@ -69,24 +86,10 @@ def membership(m: np.ndarray, descriptor: ZimmerDescriptor,
     Every below-diagonal block must have norm <= tol and every diagonal
     block B_i must satisfy ||(e^-lambda B_i)^T (e^-lambda B_i) - Id|| <= tol.
     """
-    m = np.asarray(m, dtype=float)
-    d = descriptor.dim
-    if m.shape != (d, d):
-        raise ValueError(f"matrix shape {m.shape} does not match descriptor dim {d}")
-    lower = 0.0
-    k = descriptor.num_blocks
-    for i in range(k):
-        for j in range(i):
-            block = descriptor.block(m, i, j)
-            if block.size:
-                lower = max(lower, operator_norm(block))
-    scale_back = math.exp(-descriptor.exponent)
-    diag_residuals = []
-    for i in range(k):
-        b = scale_back * descriptor.block(m, i, i)
-        diag_residuals.append(operator_norm(b.T @ b - np.eye(b.shape[0])))
-    ok = lower <= tol and all(r <= tol for r in diag_residuals)
-    return MembershipResult(ok, tuple(diag_residuals), lower)
+    diag, lower = membership_residuals(np.asarray(m, dtype=float)[None], descriptor)
+    diag_residuals, lower_residual = tuple(diag[0].tolist()), float(lower[0])
+    ok = lower_residual <= tol and all(r <= tol for r in diag_residuals)
+    return MembershipResult(ok, diag_residuals, lower_residual)
 
 
 def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -211,6 +211,13 @@ def _setting(*keys, value):
           ("shadow", ("experiment", "ms"), [4, 0]),
           ("shadow", ("experiment", "N"), 0),
           ("reconstruct", ("experiment", "samples"), 0),
+          # counts that would let a check pass on no data
+          ("holonomy", ("experiment", "pairs"), -5),
+          ("holonomy", ("experiment", "pairs"), 0),
+          ("exponents", ("experiment", "max_period"), 0),
+          ("blocks", ("experiment", "max_period"), 0),
+          ("blocks", ("experiment", "probe_points"), 0),
+          ("verify-zimmer", ("experiment", "closure_products"), 0),
       ]),
     ("exponents", _bad_word_budget, "$.experiment.budgets.words"),
     ("exponents", _list_budgets, "$.experiment.budgets"),

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -246,7 +248,8 @@ def test_holder_estimate_sentinel_and_positive(q2, mu2, rng):
         w = bps[x[0]]
         return stable_holonomy(g, w, bracket(x, w)).matrix
 
-    alpha2, c2 = holder_estimate(graded_eval, pairs, cutoff=1.0)
+    alpha2, c2 = holder_estimate(SimpleNamespace(evaluate=graded_eval), pairs,
+                                 cutoff=1.0)
     assert 0.1 < alpha2 < 5.0 and c2 > 0
 
 
@@ -257,10 +260,11 @@ def test_holder_estimate_tau_rescaling(q2, mu2, rng):
     g = mild_random_cocycle(q2, 3, seed=13)
     bps = default_basepoints(q2)
 
-    def ev(x):
+    def holonomy_at(x):
         w = bps[x[0]]
         return stable_holonomy(g, w, bracket(x, w)).matrix
 
+    ev = SimpleNamespace(evaluate=holonomy_at)
     pts = _points(mu2, rng, 400, length=14)
     pairs = list(zip(pts, pts[1:]))
     a1, _ = holder_estimate(ev, pairs, metric=MetricParams(1.0), cutoff=1.0)
@@ -338,8 +342,8 @@ def test_evaluator_serialization_roundtrip(q2, mu2, rng):
     for entry in blob["stage_tables"]:
         table = {tuple(int(s) for s in key.split()): np.array(mat)
                  for key, mat in entry["table"].items()}
-        rebuilt.append(LocallyConstantCocycle(q2, entry["window_radius"],
-                                              a.dimension, table))
+        rebuilt.append(LocallyConstantCocycle.from_table(q2, entry["window_radius"],
+                                                         table))
     for x in _points(mu2, rng, 30):
         value = np.eye(a.dimension)
         for t in rebuilt:
@@ -465,8 +469,8 @@ def _rotated_fixture(seed, dims, q, window):
     b = coboundary_conjugate(fix.result, rot)
     block_of = np.repeat(np.arange(len(dims)), dims)
     below = block_of[:, None] > block_of[None, :]
-    b = LocallyConstantCocycle(q, b.window_radius, b.dimension,
-                               {w: np.where(below, -0.0, m) for w, m in b.table.items()})
+    b = LocallyConstantCocycle.from_table(
+        q, b.window_radius, {w: np.where(below, -0.0, m) for w, m in b.table.items()})
     return fix.base, b, [evaluate(rot, w) @ evaluate(fix.conjugator, w)
                          for w in default_basepoints(q)]
 
@@ -615,3 +619,39 @@ def test_corner_diagonal_check_trips_in_both_paths(q2):
             break
     assert first is not None and first.stage == peeled.value.stage
     assert first.residual == peeled.value.residual
+
+
+# sha256 of the peel battery below, computed before the tables were stored
+# as word arrays and stacks; any change to a stage table's windows or bits,
+# a residual or a us/su value at the sampled points changes it.
+PEEL_BATTERY_DIGEST = "7b68a8168474f43f6177b4b83e5bfad0ecf465dc7d69fd3d27d923e36866af11"
+
+
+def test_peel_battery_digest():
+    digest = hashlib.sha256()
+
+    def add(label, values):
+        digest.update(label.encode())
+        digest.update(np.ascontiguousarray(values, dtype=float).tobytes())
+
+    systems = ((full_shift(2), uniform_bernoulli(2)),
+               (golden_mean_shift(), golden_mean_markov()))
+    for q, mu in systems:
+        for dims in ((1, 1), (1, 1, 1), (1, 2), (2, 1), (1, 1, 1, 1)):
+            for window in (0, 1):
+                for seed in (7, 19):
+                    a, b, c = _rotated_fixture(seed, dims, q, window)
+                    desc = ZimmerDescriptor(dims, 0.0)
+                    ev = superdiagonal_peel(a, b, desc, [np.linalg.inv(m) for m in c])
+                    digest.update(repr((q.entries, dims, window, seed,
+                                        ev.stage_names)).encode())
+                    for tables in (ev.stage_tables, ev.su_tables):
+                        for t in tables:
+                            for w in sorted(t.table):
+                                add(repr((t.window_radius, w)), t.table[w])
+                    add("residuals", ev.stage_residuals + [ev.final_residual])
+                    rng = np.random.default_rng(seed)
+                    for x in _points(mu, rng, 5):
+                        add("us", ev.evaluate(x, "us"))
+                        add("su", ev.evaluate(x, "su"))
+    assert digest.hexdigest() == PEEL_BATTERY_DIGEST
