@@ -65,6 +65,8 @@ from .zimmer import ZimmerDescriptor, membership, normalize_exponent, quotient_a
 from .transfer import (  # noqa: F401
     ConjugacyReport,
     TransferEvaluator,
+    exact_conjugacy_residual,
+    exact_path_gap,
     holder_estimate,
     periodic_consistency_solve,
     superdiagonal_peel,

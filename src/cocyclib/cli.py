@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cocycle import (
+    MAX_CONDITION,
     LocallyConstantCocycle,
     coboundary_conjugate,
     evaluate,
@@ -28,7 +29,7 @@ from .cocycle import (
 )
 from .fixtures import unipotent_example
 from .holonomy import stable_holonomy, unstable_holonomy
-from .linalg import ConeParams, Flag, Subspace
+from .linalg import ConeParams, Flag, Subspace, condition_number
 from .measure import MarkovMeasure, sample_point, sample_stable_partner, \
     sample_unstable_partner
 from .regularity import (
@@ -385,6 +386,21 @@ def _run_shadow(cfg, q, metric, exp, rng, budgets):
     return results, tables, checks
 
 
+def _base_values(values: Any, n_symbols: int, dim: int) -> list[np.ndarray]:
+    """One finite, safely invertible d x d seed per symbol."""
+    if not isinstance(values, list) or len(values) != n_symbols:
+        raise ValueError(f"expected a list of {n_symbols} base values, one per symbol")
+    seeds = []
+    for i, v in enumerate(values):
+        m = np.array(v, dtype=float)
+        if m.shape != (dim, dim) or not np.isfinite(m).all():
+            raise ValueError(f"base value {i} is not a finite {dim}x{dim} matrix")
+        if condition_number(m) > MAX_CONDITION:
+            raise ValueError(f"base value {i} is not safely invertible")
+        seeds.append(m)
+    return seeds
+
+
 def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
@@ -400,7 +416,7 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
         b = build_cocycle(cfg, q, key="experiment.cocycle_b",
                           source=_value(exp, "$.experiment.cocycle_b", dict))
         base_values = _value(exp, "$.experiment.base_values",
-                                 lambda vs: [np.array(v, dtype=float) for v in vs])
+                             lambda vs: _base_values(vs, q.size, a.dimension))
     evaluator = superdiagonal_peel(a, b, desc, base_values, tol=tol)
     n_samples = min(_value(exp, "$.experiment.samples", _at_least(1), 500),
                     budgets["samples"])

@@ -46,21 +46,29 @@ class OrbitKernel:
     """Indexes of a generator's stack for batched orbit products, derived
     from its word array.
 
-    ``index`` maps each window to its row of ``stack``, and ``inverse`` holds
-    the entrywise matrix inverses of ``stack``.  For whole symbol arrays a
-    window w_0..w_{2k} is read by its base-q code sum_i w_i q^(2k-i), which
-    ``row_of_code`` maps to the same row (-1 where the table has no entry);
-    the dict stays the cheaper lookup for a few windows at a time.  Single
-    orbit products start from the read-only ``identity``.
+    For whole symbol arrays a window w_0..w_{2k} is read by its base-q code
+    sum_i w_i q^(2k-i), which ``row_of_code`` maps to its row of ``stack``
+    (-1 where the table has no entry).  ``index``, the window -> row dict
+    and the cheaper lookup for a few windows at a time, and ``inverse``, the
+    entrywise matrix inverses of ``stack``, are built on first read, so a
+    table read only through ``rows`` never inverts its stack.  Single orbit
+    products start from the read-only ``identity``.
     """
 
     n_symbols: int
     width: int
-    index: dict[Word, int]
+    words: np.ndarray
     row_of_code: np.ndarray
     stack: np.ndarray
-    inverse: np.ndarray
     identity: np.ndarray
+
+    @cached_property
+    def index(self) -> dict[Word, int]:
+        return {w: row for row, w in enumerate(map(tuple, self.words.tolist()))}
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.stack)
 
     def rows(self, symbols) -> np.ndarray:
         """Table rows of the consecutive windows of each symbol sequence.
@@ -185,16 +193,15 @@ class LocallyConstantCocycle:
 
     @cached_property
     def kernel(self) -> OrbitKernel:
-        """Window index, base-q window codes and stacked inverses (built once)."""
+        """Base-q window codes (built once); the kernel builds its window
+        index and stacked inverses when they are first read."""
         q = self.q.size
         width = 2 * self.window_radius + 1
         row_of_code = np.full(q ** width, -1, dtype=np.int64)
         row_of_code[np.ravel_multi_index(tuple(self.words.T), (q,) * width)] = \
             np.arange(len(self.words))
-        identity = _read_only(np.eye(self.dimension))
-        index = {w: row for row, w in enumerate(map(tuple, self.words.tolist()))}
-        return OrbitKernel(q, width, index, row_of_code, self.stack,
-                           np.linalg.inv(self.stack), identity)
+        return OrbitKernel(q, width, self.words, row_of_code, self.stack,
+                           _read_only(np.eye(self.dimension)))
 
     @cached_property
     def table(self) -> Mapping[Word, np.ndarray]:

@@ -6,8 +6,9 @@ holonomy transport: a value moves along a leg as C -> H^A C (H^B)^{-1}.
 Each stage is locally constant, so the transport is done in one way only:
 tabulated over all window words at once (``_Transport`` and the
 evaluators' ``tabulate``).  The peel keeps a table of every stage for each
-transport order, us and su; a value at a single point is the one-window
-table build at that point.
+transport order, us and su, and composes each order's stage tables into
+one table of the transfer map; a stage value at a single point is the
+one-window table build at that point.
 For block upper-triangular pairs the superdiagonal peel recovers C block by
 block: orthogonal diagonal blocks first, then one upper-diagonal offset at
 a time through 2x2-block subsystems, conjugating off each recovered layer.
@@ -29,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cocycle import (
+    MAX_CONDITION,
     LocallyConstantCocycle,
     coboundary_conjugate,
     evaluate,
@@ -133,7 +135,7 @@ class TransferEvaluator:
             if w[0] != i:
                 raise ValueError(f"basepoint {i} does not lie in the cylinder [0; {i}]")
         for i, v in enumerate(self.base_values):
-            if condition_number(np.asarray(v)) > 1e14:
+            if condition_number(np.asarray(v)) > MAX_CONDITION:
                 raise ValueError(f"base value {i} is not safely invertible")
 
     def evaluate(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
@@ -206,11 +208,18 @@ def _check_membership(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
             raise ValueError(f"{name} cocycle fails membership at window {w}")
 
 
+def _refinement(q: TransitionMatrix,
+                tables: Sequence[LocallyConstantCocycle]) -> np.ndarray:
+    """The admissible window words at the largest radius of ``tables`` (0
+    for none), a common refinement of them all."""
+    return admissible_word_array(q, 2 * max([0] + [t.window_radius for t in tables]) + 1)
+
+
 def _block_difference(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
                       desc: ZimmerDescriptor,
                       blocks: Sequence[tuple[int, int]]) -> float:
     """Max norm difference of the chosen blocks over a common refinement."""
-    words = admissible_word_array(a.q, 2 * max(a.window_radius, b.window_radius) + 1)
+    words = _refinement(a.q, (a, b))
     va, vb = a.stack_at(words), b.stack_at(words)
     return max([0.0] + [float(np.max(np.abs(desc.block(va, i, j) - desc.block(vb, i, j))))
                         for i, j in blocks])
@@ -255,6 +264,19 @@ def minimize_table(a: LocallyConstantCocycle, tol: float = 1e-13) -> LocallyCons
 
 def _is_identity_table(a: LocallyConstantCocycle, tol: float = 1e-12) -> bool:
     return bool(np.all(np.abs(a.stack - np.eye(a.dimension)) <= tol))
+
+
+def _compose(q: TransitionMatrix, dimension: int,
+             tables: Sequence[LocallyConstantCocycle]) -> LocallyConstantCocycle:
+    """The table of x -> tables[-1](x) ... tables[0](x) on their common
+    refinement, the identity at radius 0 for no table.  Each entry starts
+    from the identity and left-multiplies the tables' values in order, so
+    it equals that product formed at a point bit for bit."""
+    words = _refinement(q, tables)
+    out = np.tile(np.eye(dimension), (len(words), 1, 1))
+    for table in tables:
+        out = table.stack_at(words) @ out
+    return LocallyConstantCocycle(q, words.shape[1] // 2, dimension, words, out)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +402,11 @@ class PeeledEvaluator:
     """Composed transfer evaluator produced by the superdiagonal peel.
 
     Stages apply in construction order: the value at x is the left-ordered
-    product stage_R(x) ... stage_0(x) of the kept stages' tables, read from
-    ``stage_tables`` (minimized) for us transport and from ``su_tables``
-    (at the stage radius) for su transport.
+    product stage_R(x) ... stage_0(x) of the kept stages' tables,
+    ``stage_tables`` (minimized) for us transport and ``su_tables`` (at the
+    stage radius) for su transport.  ``composed`` holds that product as one
+    table per order, keyed "us" and "su", at the largest radius of its
+    stages and not minimized, so a read is one read-only table entry.
     """
 
     cocycle_a: LocallyConstantCocycle
@@ -395,14 +419,12 @@ class PeeledEvaluator:
     stage_names: list = field(default_factory=list)
     stage_residuals: list = field(default_factory=list)
     final_residual: float = 0.0
+    composed: dict[str, LocallyConstantCocycle] = field(default_factory=dict)
 
     def evaluate(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
         if order not in ("us", "su"):
             raise ValueError(f"unknown transport order {order!r}")
-        out = np.eye(self.descriptor.dim)
-        for table in self.stage_tables if order == "us" else self.su_tables:
-            out = evaluate(table, x) @ out
-        return out
+        return evaluate(self.composed[order], x)
 
     def to_jsonable(self) -> dict:
         tables = [{"stage": name, **table.table_jsonable()}
@@ -514,6 +536,8 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
         a, b_current, desc,
         [(i, j) for i in range(desc.num_blocks)
          for j in range(i, desc.num_blocks)])
+    result.composed = {"us": _compose(a.q, desc.dim, result.stage_tables),
+                       "su": _compose(a.q, desc.dim, result.su_tables)}
     return result
 
 
@@ -551,6 +575,28 @@ def conjugacy_residual(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
     lhs = evaluate(a, x)
     rhs = c_next @ evaluate(b, x) @ np.linalg.inv(c_here)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def _table_gap(a: LocallyConstantCocycle, b: LocallyConstantCocycle) -> float:
+    """Largest entrywise |A(x) - B(x)| over all admissible windows of a
+    common refinement."""
+    words = _refinement(a.q, (a, b))
+    return float(np.max(np.abs(a.stack_at(words) - b.stack_at(words))))
+
+
+def exact_conjugacy_residual(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
+                             c: LocallyConstantCocycle) -> float:
+    """:func:`conjugacy_residual` of a table C at every admissible window:
+    the largest |A(x) - C(shift x) B(x) C(x)^{-1}|, with the right side
+    formed by :func:`~cocyclib.cocycle.coboundary_conjugate` in the same
+    product order, so it bounds every sampled residual of C."""
+    return _table_gap(a, coboundary_conjugate(b, c))
+
+
+def exact_path_gap(evaluator: PeeledEvaluator) -> float:
+    """Path independence at every window: the largest |C_us(x) - C_su(x)|
+    between the evaluator's two composed tables."""
+    return _table_gap(evaluator.composed["us"], evaluator.composed["su"])
 
 
 def verify_conjugacy(a: LocallyConstantCocycle, b: LocallyConstantCocycle,

@@ -163,6 +163,28 @@ def _bad_flag_dims(cfg):
     cfg["experiment"]["flag_dims"] = [1]
 
 
+def _base_values(values):
+    """A reconstruct config that gives B as a table (A itself) and these
+    seeds in place of a conjugator."""
+    def corrupt(cfg):
+        exp = cfg["experiment"]
+        del exp["conjugator"]
+        exp["cocycle_b"] = copy.deepcopy(cfg["cocycle"])
+        exp["base_values"] = values
+    return corrupt
+
+
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_reconstruct_from_cocycle_b_and_base_values():
+    cfg = load("reconstruct")
+    _base_values([EYE2, EYE2])(cfg)
+    report = run(cfg)
+    assert report["passed"]
+    assert report["results"]["conjugacy"]["max_residual"] == 0.0
+
+
 def _setting(*keys, value):
     """A corruption that sets the value at a key path of the config."""
     def corrupt(cfg):
@@ -226,6 +248,16 @@ def _setting(*keys, value):
     ("blocks", _bad_theta_grid, "$.experiment.probe_theta_grid"),
     ("blocks", _bad_n_grid, "$.experiment.probe_n_grid"),
     ("shadow", _bad_flag_dims, "$.experiment.flag_dims"),
+    # one finite, safely invertible 2x2 seed per symbol of the 2-shift
+    *(pytest.param("reconstruct", _base_values(values), "$.experiment.base_values",
+                   id=f"reconstruct-base_values-{name}")
+      for name, values in [
+          ("one-entry", [EYE2]),
+          ("vector-entry", [[[1, 0], [0, 1]], [1, 2]]),
+          ("3x3", [np.eye(3).tolist()] * 2),
+          ("nan", [EYE2, [["nan", 0.0], [0.0, 1.0]]]),
+          ("zero", [EYE2, [[0.0, 0.0], [0.0, 0.0]]]),
+      ]),
 ])
 def test_malformed_value_exits_2_with_key_path(kind, corrupt, path, tmp_path, capsys):
     cfg = load(kind)

@@ -273,6 +273,25 @@ def test_orbit_products_return_fresh_arrays(q2, mu2, rng):
     assert same_bits(a.kernel.identity, np.eye(a.dimension))
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 6), **systems)
+def test_kernel_inverts_its_stack_only_when_read_backwards(n, n_symbols, radius, dim,
+                                                          seed):
+    mu, a, rng = random_system(n_symbols, radius, dim, seed)
+    points = _random_points(mu, rng, 3)
+    words = _words(points, n + radius)
+    a.stack_at(words)
+    assert "inverse" not in vars(a.kernel) and "index" not in vars(a.kernel)
+    iterate_many(a, words, n)
+    iterate(a, points[0], n)
+    assert "inverse" not in vars(a.kernel)
+    # built on the first backward product, from the same stack as before
+    assert same_bits(iterate(a, points[0], -n), reference_product(a, points[0], -n))
+    assert same_bits(a.kernel.inverse, np.linalg.inv(a.stack))
+    assert same_bits(iterate_many(a, words, -n),
+                     [reference_product(a, x, -n) for x in points])
+
+
 @settings(max_examples=40, deadline=None)
 @given(n_steps=st.integers(1, 6), count=st.integers(1, 5), **systems)
 def test_block_costs_equal_per_block_loop(n_steps, count, n_symbols, radius, dim, seed):

@@ -12,6 +12,7 @@ from cocyclib.cocycle import (
     LocallyConstantCocycle,
     coboundary_conjugate,
     evaluate,
+    inverse_cocycle,
 )
 from cocyclib.fixtures import (
     mild_random_cocycle,
@@ -31,12 +32,16 @@ from cocyclib.sft import (
     golden_mean_shift,
 )
 from cocyclib.transfer import (
+    PeeledEvaluator,
     StageError,
     TransferEvaluator,
+    _compose,
     _Transport,
     conjugacy_residual,
     default_basepoints,
     embed_corner,
+    exact_conjugacy_residual,
+    exact_path_gap,
     holder_estimate,
     materialize,
     minimize_table,
@@ -655,3 +660,100 @@ def test_peel_battery_digest():
                         add("us", ev.evaluate(x, "us"))
                         add("su", ev.evaluate(x, "su"))
     assert digest.hexdigest() == PEEL_BATTERY_DIGEST
+
+
+SYSTEMS = {"2-shift": (full_shift(2), uniform_bernoulli(2)),
+           "golden-mean": (golden_mean_shift(), golden_mean_markov())}
+BATTERY_DIMS = ((1, 1), (1, 1, 1), (1, 2), (2, 1), (1, 1, 1, 1))
+
+
+def per_stage_loop(ev, x, order):
+    """A peeled value read stage by stage: each kept stage's table at x,
+    left-multiplied onto the identity in construction order."""
+    out = np.eye(ev.descriptor.dim)
+    for table in ev.stage_tables if order == "us" else ev.su_tables:
+        out = evaluate(table, x) @ out
+    return out
+
+
+def _window_points(q, table):
+    """One point per admissible window of a table, closed around it."""
+    return [close_word(q, tuple(w), origin_offset=table.window_radius)
+            for w in table.words.tolist()]
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+@pytest.mark.parametrize("dims", BATTERY_DIMS)
+@pytest.mark.parametrize("window", [0, 1])
+def test_composed_tables_equal_per_stage_loop(system, dims, window):
+    q, mu = SYSTEMS[system]
+    a, b, c = _rotated_fixture(7, dims, q, window)
+    desc = ZimmerDescriptor(dims, 0.0)
+    points = _points(mu, np.random.default_rng(7), 20)
+    ev = superdiagonal_peel(a, b, desc, [np.linalg.inv(m) for m in c])
+    # B is a peel of itself: every stage is the identity and none is kept
+    unchanged = superdiagonal_peel(b, b, desc, [np.eye(desc.dim)] * q.size)
+    assert ev.stages and not unchanged.stages
+    # the peel and the composition read the stage tables by stack_at only
+    for table in ev.stage_tables + ev.su_tables:
+        assert "inverse" not in vars(table.kernel)
+    for order, tables in (("us", ev.stage_tables), ("su", ev.su_tables)):
+        composed = ev.composed[order]
+        assert composed.window_radius == max(t.window_radius for t in tables)
+        for x in points + _window_points(q, composed):
+            value = ev.evaluate(x, order)
+            assert not value.flags.writeable
+            assert same_bits(value, per_stage_loop(ev, x, order))
+        identity = unchanged.composed[order]
+        assert identity.window_radius == 0
+        assert same_bits(identity.stack, [np.eye(desc.dim)] * q.size)
+        for x in points:
+            assert same_bits(unchanged.evaluate(x, order), np.eye(desc.dim))
+
+
+def test_composition_starts_from_the_identity(q2):
+    # the matmul onto the identity turns a single stage's signed zeros into
+    # +0.0, as the per-stage loop does
+    stage = LocallyConstantCocycle.from_function(
+        q2, 1, lambda w: np.array([[1.0 + w[0], -0.0], [-0.0, 2.0 - w[-1]]]))
+    ev = PeeledEvaluator(stage, stage, DESC2, default_basepoints(q2), stage_tables=[stage],
+                         composed={"us": _compose(q2, 2, [stage])})
+    for x in _window_points(q2, ev.composed["us"]):
+        assert same_bits(ev.evaluate(x), per_stage_loop(ev, x, "us"))
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+@pytest.mark.parametrize("dims", BATTERY_DIMS)
+@pytest.mark.parametrize("window", [0, 1])
+@pytest.mark.parametrize("seed", [7, 19])
+def test_exact_certificates_bound_the_sampled_checks(system, dims, window, seed):
+    q, mu = SYSTEMS[system]
+    a, b, c = _rotated_fixture(seed, dims, q, window)
+    tol = 1e-8
+    ev = superdiagonal_peel(a, b, ZimmerDescriptor(dims, 0.0),
+                            [np.linalg.inv(m) for m in c], tol=tol)
+    points = _points(mu, np.random.default_rng(seed), 30)
+    c_us = ev.composed["us"]
+    exact = exact_conjugacy_residual(a, b, c_us)
+    assert exact <= tol
+    assert all(conjugacy_residual(a, b, ev, x) <= exact for x in points)
+    # the sampled residual at one point per window of the refinement that
+    # the exact residual reads attains it
+    refinement = coboundary_conjugate(b, c_us)
+    assert exact == max(conjugacy_residual(a, b, ev, x)
+                        for x in _window_points(q, refinement))
+    gap = exact_path_gap(ev)
+    assert gap <= 1e-9
+    assert all(np.max(np.abs(ev.evaluate(x, "us") - ev.evaluate(x, "su"))) <= gap
+               for x in points)
+
+
+def test_exact_residual_sees_a_wrong_window(q2):
+    fix = peel_fixture(seed=3, dims=(1, 1), conjugator_window=1)
+    a, u, b = fix.base, fix.conjugator, fix.result
+    c = inverse_cocycle(u)
+    assert exact_conjugacy_residual(a, b, c) <= 1e-12
+    stack = c.stack.copy()
+    stack[5] += 1e-3
+    wrong = LocallyConstantCocycle(q2, c.window_radius, c.dimension, c.words, stack)
+    assert exact_conjugacy_residual(a, b, wrong) >= 1e-4
