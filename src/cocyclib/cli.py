@@ -25,10 +25,10 @@ from .cocycle import (
     LocallyConstantCocycle,
     coboundary_conjugate,
     evaluate,
-    iterate,
+    iterate_many,
 )
 from .fixtures import unipotent_example
-from .holonomy import stable_holonomy, unstable_holonomy
+from .holonomy import holonomy_stack
 from .linalg import ConeParams, Flag, Subspace, condition_number
 from .measure import MarkovMeasure, sample_point, sample_stable_partner, \
     sample_unstable_partner
@@ -50,6 +50,8 @@ from .sft import (
     enumerate_periodic,
     parse_word_key,
     periodic_point,
+    same_future,
+    same_past,
     word_key,
 )
 from .shadow import ShadowSpec, angle_experiment, growth_measure
@@ -78,12 +80,13 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _config_value(path: str):
-    """Report a TypeError or ValueError as a ConfigError at the key path."""
+    """Report a TypeError, ValueError or OverflowError as a ConfigError at
+    the key path."""
     try:
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -121,6 +124,30 @@ def _at_least(minimum: int) -> Callable[[Any], int]:
     return lambda value: _integer(value, minimum)
 
 
+def _real(value: Any) -> float:
+    """A finite JSON number as a float; float() would also read "nan" and
+    "1e-12" from strings and true as 1.0."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _real_where(holds: Callable[[float], bool], bound: str) -> Callable[[Any], float]:
+    """:func:`_real` with a bound: the one that the library function fed by
+    the value enforces, or >= 0 for a tolerance."""
+    def convert(value: Any) -> float:
+        real = _real(value)
+        if not holds(real):
+            raise ValueError(f"expected a number {bound}, got {value!r}")
+        return real
+    return convert
+
+
+_POSITIVE = _real_where(lambda v: v > 0, "> 0")
+_NONNEGATIVE = _real_where(lambda v: v >= 0, ">= 0")
+_OPEN_UNIT = _real_where(lambda v: 0 < v < 1, "in (0, 1)")
+
+
 def _list_of(valid: Callable[[Any], bool], what: str) -> Callable[[list], list]:
     """A converter for :func:`_value` that checks every item of a list and
     returns the list unchanged, so that an integer such as 1 is not written
@@ -135,7 +162,7 @@ def _list_of(valid: Callable[[Any], bool], what: str) -> Callable[[list], list]:
 def build_system(cfg: dict) -> tuple[TransitionMatrix, MetricParams]:
     sys_cfg = _value(cfg, "$.system", dict)
     q = _value(sys_cfg, "$.system.transition_matrix", TransitionMatrix.from_rows)
-    metric = _value(sys_cfg, "$.system.tau", lambda v: MetricParams(float(v)), 1.0)
+    metric = _value(sys_cfg, "$.system.tau", lambda v: MetricParams(_POSITIVE(v)), 1.0)
     return q, metric
 
 
@@ -166,7 +193,7 @@ def build_cocycle(cfg: dict, q: TransitionMatrix, key: str = "cocycle",
 
 def build_descriptor(cfg: dict) -> ZimmerDescriptor:
     d_cfg = _value(cfg, "$.descriptor", dict)
-    exponent = _value(d_cfg, "$.descriptor.exponent", float, 0.0)
+    exponent = _value(d_cfg, "$.descriptor.exponent", _real, 0.0)
     return _value(d_cfg, "$.descriptor.block_dims",
                   lambda dims: ZimmerDescriptor(tuple(map(_integer, dims)), exponent))
 
@@ -260,35 +287,60 @@ def _run_exponents(cfg, q, metric, exp, rng, budgets):
     return results, {"periodic_exponents": rows}, checks
 
 
+def _windows(points: Sequence, lo: int, hi: int) -> np.ndarray:
+    """The coordinates lo..hi of each point, one row per point: the window
+    words of radius (hi - lo) / 2 of the points shifted by (lo + hi) / 2."""
+    return np.array([p.window(lo, hi) for p in points], dtype=np.int64)
+
+
 def _run_holonomy(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
     n_pairs = min(_value(exp, "$.experiment.pairs", _at_least(1), 400), budgets["samples"])
-    inter_n = _value(exp, "$.experiment.intertwine_n", _integer, 10)
-    tol = _value(exp, "$.experiment.tolerance", float, 1e-12)
-    chain_worst = 0.0
-    inter_worst = 0.0
-    lip_max = 0.0
+    inter_n = _value(exp, "$.experiment.intertwine_n", _at_least(1), 10)
+    tol = _value(exp, "$.experiment.tolerance", _NONNEGATIVE, 1e-12)
+    lip_bound = _value(exp, "$.experiment.lipschitz_bound", _NONNEGATIVE, 1e6)
+    # Every draw first, in the order of a loop over pairs; then every
+    # holonomy and orbit product of all pairs at once.
+    draws = []
     for _ in range(n_pairs):
         x = sample_point(mu, rng, 12)
         y = sample_stable_partner(mu, x, rng)
         z = sample_stable_partner(mu, x, rng)
-        h_xy = stable_holonomy(a, x, y)
-        h_xz = stable_holonomy(a, x, z)
-        h_yz = stable_holonomy(a, y, z)
-        chain_worst = max(chain_worst, float(np.max(np.abs(
-            h_yz.matrix @ h_xy.matrix - h_xz.matrix))))
-        lhs = iterate(a, y.shifted(inter_n), -inter_n) @ stable_holonomy(
-            a, x.shifted(inter_n), y.shifted(inter_n)).matrix @ iterate(a, x, inter_n)
-        inter_worst = max(inter_worst, float(np.max(np.abs(h_xy.matrix - lhs))))
-        d = distance(x, y, metric)
-        if d > 0:
-            lip_max = max(lip_max, float(np.linalg.norm(
-                h_xy.matrix - np.eye(a.dimension), 2)) / d)
+        if not (same_future(x, y) and same_future(x, z) and same_future(y, z)):
+            raise ValueError("points do not lie on a common local stable set")
         u = sample_unstable_partner(mu, x, rng)
-        h_u = unstable_holonomy(a, x, u)
-        chain_worst = max(chain_worst, float(np.max(np.abs(
-            unstable_holonomy(a, u, x).matrix @ h_u.matrix - np.eye(a.dimension)))))
+        if not same_past(x, u):
+            raise ValueError("points do not lie on a common local unstable set")
+        draws.append((x, y, z, u))
+    xs, ys, zs, us = zip(*draws)
+    k, n = a.window_radius, inter_n
+    eye = np.eye(a.dimension)
+    # a holonomy leg reads coordinates -2k..2k of its ends
+    x_w, y_w, z_w, u_w = (_windows(p, -2 * k, 2 * k) for p in (xs, ys, zs, us))
+    h_xy = holonomy_stack(a, "stable", x_w, y_w)
+    chain_s = np.abs(holonomy_stack(a, "stable", y_w, z_w) @ h_xy
+                     - holonomy_stack(a, "stable", x_w, z_w)).max(axis=(1, 2))
+    chain_u = np.abs(holonomy_stack(a, "unstable", u_w, x_w)
+                     @ holonomy_stack(a, "unstable", x_w, u_w) - eye).max(axis=(1, 2))
+    # h_xy = A^{-n}(shift^n y) H(shift^n x, shift^n y) A^n(x)
+    h_n = holonomy_stack(a, "stable", _windows(xs, n - 2 * k, n + 2 * k),
+                         _windows(ys, n - 2 * k, n + 2 * k))
+    lhs = (iterate_many(a, _windows(ys, -k, 2 * n + k), -n) @ h_n
+           @ iterate_many(a, _windows(xs, -n - k, n + k), n))
+    inter = np.abs(h_xy - lhs).max(axis=(1, 2))
+    dists = [distance(x, y, metric) for x, y in zip(xs, ys)]
+    lips = iter(np.linalg.svd(h_xy[np.array(dists) > 0] - eye,
+                              compute_uv=False).max(axis=-1).tolist())
+    chain_worst = 0.0
+    inter_worst = 0.0
+    lip_max = 0.0
+    for c_s, c_i, d, c_u in zip(chain_s.tolist(), inter.tolist(), dists, chain_u.tolist()):
+        chain_worst = max(chain_worst, c_s)
+        inter_worst = max(inter_worst, c_i)
+        if d > 0:
+            lip_max = max(lip_max, next(lips) / d)
+        chain_worst = max(chain_worst, c_u)
     results = {"pairs": n_pairs, "lipschitz_ratio_max": lip_max,
                "intertwine_n": inter_n}
     checks = [
@@ -296,8 +348,7 @@ def _run_holonomy(cfg, q, metric, exp, rng, budgets):
                "holonomy: transport composes along stable triples"),
         _check("intertwining", inter_worst, tol,
                "holonomy: conjugation by orbit products"),
-        _check("lipschitz-finite", lip_max,
-               _value(exp, "$.experiment.lipschitz_bound", float, 1e6),
+        _check("lipschitz-finite", lip_max, lip_bound,
                "holonomy: ||H - Id|| <= L rho"),
     ]
     return results, {}, checks
@@ -308,7 +359,7 @@ def _run_blocks(cfg, q, metric, exp, rng, budgets):
     a = build_cocycle(cfg, q)
     with _config_value("$.experiment"):
         params = BlockParams(_value(exp, "$.experiment.N", _at_least(1), 1),
-                             _value(exp, "$.experiment.theta", float))
+                             _value(exp, "$.experiment.theta", _POSITIVE))
     max_period = _value(exp, "$.experiment.max_period", _at_least(1), 4)
     s_max = _value(exp, "$.experiment.s_max", _at_least(1), 8)
     rows = []
@@ -353,12 +404,12 @@ def _run_shadow(cfg, q, metric, exp, rng, budgets):
             for path in ("$.experiment.x_word", "$.experiment.y_word"))
     b = _value(exp, "$.experiment.b", _at_least(1), 2)
     c = _value(exp, "$.experiment.c", _at_least(1), 2)
-    alpha = _value(exp, "$.experiment.alpha", float, 0.1)
+    alpha = _value(exp, "$.experiment.alpha", _OPEN_UNIT, 0.1)
     ms = _value(exp, "$.experiment.ms", lambda v: list(map(_at_least(1), v)),
                [4, 8, 12, 16])
     with _config_value("$.experiment"):
         params = BlockParams(_value(exp, "$.experiment.N", _at_least(1), 4),
-                             _value(exp, "$.experiment.theta", float, 3.0))
+                             _value(exp, "$.experiment.theta", _POSITIVE, 3.0))
         specs = [ShadowSpec(q, x, y, m, b, c, alpha) for m in ms]
     table = growth_measure(a, specs, params)
     results = {"chi_hat": table["chi_hat"], "b": b, "c": c, "alpha": alpha}
@@ -368,11 +419,13 @@ def _run_shadow(cfg, q, metric, exp, rng, budgets):
         flag = _value(exp, "$.experiment.flag_dims", lambda dims: Flag(tuple(
             Subspace.standard(a.dimension, range(_integer(k))) for k in dims)))
         with _config_value("$.experiment"):
-            cone = ConeParams(tuple(exp.get("cone_split", (1, a.dimension - 1))),
-                              _value(exp, "$.experiment.cone_mu", float, 2.0),
-                              _value(exp, "$.experiment.cone_lambda", float, 0.999),
-                              _value(exp, "$.experiment.cone_epsilon", float, 0.05),
-                              _value(exp, "$.experiment.cone_delta", float, 0.3))
+            cone = ConeParams(_value(exp, "$.experiment.cone_split",
+                                     lambda v: tuple(map(_at_least(1), v)),
+                                     (1, a.dimension - 1)),
+                              _value(exp, "$.experiment.cone_mu", _real, 2.0),
+                              _value(exp, "$.experiment.cone_lambda", _real, 0.999),
+                              _value(exp, "$.experiment.cone_epsilon", _NONNEGATIVE, 0.05),
+                              _value(exp, "$.experiment.cone_delta", _POSITIVE, 0.3))
         rep = angle_experiment(a, flag, specs[-1], cone, params=params, rng=rng)
         tables["angles"] = rep.angle_rows
         tables["projection_growth"] = rep.projection_rows
@@ -405,7 +458,7 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
     desc = build_descriptor(cfg)
-    tol = _value(exp, "$.experiment.tolerance", float, 1e-8)
+    tol = _value(exp, "$.experiment.tolerance", _NONNEGATIVE, 1e-8)
     if "conjugator" in exp:
         u = build_cocycle(cfg, q, key="experiment.conjugator",
                           source=exp["conjugator"])
@@ -435,7 +488,7 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
         _check("conjugacy-residual", report.max_residual, tol,
                "transfer: A(x) = C(shift x) B(x) C(x)^{-1} on samples"),
         _check("path-independence", path_gap,
-               _value(exp, "$.experiment.path_tolerance", float, 1e-9),
+               _value(exp, "$.experiment.path_tolerance", _NONNEGATIVE, 1e-9),
                "transfer: su and us transport agree"),
     ]
     return results, {}, checks
@@ -444,7 +497,7 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
 def _run_verify_zimmer(cfg, q, metric, exp, rng, budgets):
     a = build_cocycle(cfg, q)
     desc = build_descriptor(cfg)
-    tol = _value(exp, "$.experiment.tolerance", float, 1e-8)
+    tol = _value(exp, "$.experiment.tolerance", _NONNEGATIVE, 1e-8)
     diag, lower = membership_residuals(a.stack, desc)
     diag = diag.max(axis=1)
     member = (lower <= tol) & (diag <= tol)

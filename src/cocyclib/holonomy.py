@@ -14,7 +14,7 @@ import numpy as np
 
 import math
 
-from .cocycle import LocallyConstantCocycle, iterate
+from .cocycle import LocallyConstantCocycle, iterate, iterate_many
 from .sft import MetricParams, SymbolicPoint, bracket, same_future, same_past
 
 
@@ -49,6 +49,20 @@ def unstable_holonomy(a: LocallyConstantCocycle, y: SymbolicPoint,
     k = a.window_radius
     matrix = np.linalg.solve(iterate(a, z, -k), iterate(a, y, -k))
     return HolonomyMap(y, z, "unstable", matrix, k)
+
+
+def holonomy_stack(a: LocallyConstantCocycle, kind: str, frm: np.ndarray,
+                   to: np.ndarray) -> np.ndarray:
+    """The (W, d, d) stack of holonomies of ``a`` from each row of ``frm`` to
+    the same row of ``to``, two (W, 2r + 1) arrays of window words over
+    coordinates -r..r, with r >= 2k: solve(A^k(to), A^k(from)) on a
+    ``"stable"`` leg and solve(A^{-k}(to), A^{-k}(from)) on an ``"unstable"``
+    one.  Each entry equals the :func:`stable_holonomy` or
+    :func:`unstable_holonomy` matrix bit for bit.  The caller guarantees that
+    each pair lies on a common local stable or unstable set; it is not
+    checked here."""
+    n = a.window_radius if kind == "stable" else -a.window_radius
+    return np.linalg.solve(iterate_many(a, to, n), iterate_many(a, frm, n))
 
 
 def truncated_stable_holonomy(a: LocallyConstantCocycle, y: SymbolicPoint,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycle import LocallyConstantCocycle, _finite, evaluate, iterate
+from .cocycle import LocallyConstantCocycle, _finite, evaluate, iterate, iterate_many
 from .holonomy import composed_holonomy
 from .linalg import Flag, Subspace, largest_principal_angle
 from .measure import MarkovMeasure, sample_point
@@ -163,18 +163,22 @@ def monte_carlo_exponent(a: LocallyConstantCocycle, mu: MarkovMeasure, n: int,
 
     The lambda_- leg uses the backward product A^{-n}, so both estimators
     are unbiased for the n-scale integrals by shift invariance of the
-    measure.
+    measure.  All points are drawn first, one :func:`sample_point` call per
+    trial as a per-trial loop would make them, so the generator stream is
+    unchanged; A^n and A^{-n} are then formed for all trials at once.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_support(a, mu)
-    k = a.window_radius
-    plus = np.empty(trials)
-    minus = np.empty(trials)
-    for t in range(trials):
-        x = sample_point(mu, rng, 2 * (n + k), start=-(n + k))
-        plus[t] = math.log(np.linalg.norm(iterate(a, x, n), 2)) / n
-        minus[t] = math.log(np.linalg.norm(iterate(a, x, -n), 2)) / n
+    r = n + a.window_radius
+    words = np.array([sample_point(mu, rng, 2 * r, start=-r).window(-r, r)
+                      for _ in range(trials)], dtype=np.int64)
+    # the operator 2-norm, as np.linalg.norm(., 2) computes it per matrix
+    plus, minus = (np.array([math.log(v) / n for v in np.linalg.svd(
+        iterate_many(a, words, m), compute_uv=False).max(axis=-1).tolist()])
+        for m in (n, -n))
     lam_plus = float(plus.mean())
     lam_minus = float(-minus.mean())
     if trials > 1:

@@ -35,8 +35,8 @@ from .cocycle import (
     coboundary_conjugate,
     evaluate,
     iterate,
-    iterate_many,
 )
+from .holonomy import holonomy_stack
 from .linalg import condition_number
 from .sft import (
     BudgetExceededError,
@@ -101,11 +101,8 @@ class _Transport:
         self.legs = ((kinds[0], base, mid), (kinds[1], mid, words))
 
     def holonomies(self, a: LocallyConstantCocycle, leg) -> np.ndarray:
-        """The leg's holonomy of ``a`` at every window: solve(A^k(to),
-        A^k(from)), with A^{-k} on an unstable leg."""
-        kind, frm, to = leg
-        n = a.window_radius if kind == "stable" else -a.window_radius
-        return np.linalg.solve(iterate_many(a, to, n), iterate_many(a, frm, n))
+        """The leg's holonomy of ``a`` at every window (:func:`holonomy_stack`)."""
+        return holonomy_stack(a, *leg)
 
     @classmethod
     def at(cls, transports: Sequence["TransferEvaluator"], x: SymbolicPoint,

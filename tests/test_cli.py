@@ -7,9 +7,14 @@ import pytest
 
 import numpy as np
 
+from cocyclib import cli
 from cocyclib.cli import ConfigError, build_cocycle, emit, load_config, main, run
-from cocyclib.cocycle import LocallyConstantCocycle
-from cocyclib.sft import full_shift
+from cocyclib.cocycle import LocallyConstantCocycle, iterate
+from cocyclib.fixtures import mild_random_cocycle, mixed_hyperbolic_cocycle
+from cocyclib.holonomy import stable_holonomy, unstable_holonomy
+from cocyclib.measure import golden_mean_markov, sample_point, sample_stable_partner, \
+    sample_unstable_partner
+from cocyclib.sft import distance, full_shift, golden_mean_shift
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -195,6 +200,15 @@ def _setting(*keys, value):
     return corrupt
 
 
+def _cone(key, value):
+    """A shadow config with an invariant flag, so that its cone keys are
+    read, and this value at one of them."""
+    def corrupt(cfg):
+        cfg["experiment"]["flag_dims"] = [1, 2]
+        cfg["experiment"][key] = value
+    return corrupt
+
+
 @pytest.mark.parametrize("kind, corrupt, path", [
     ("exponents", _bad_n, "$.experiment.n"),
     # integer keys take JSON integers only: int() would truncate these
@@ -240,7 +254,56 @@ def _setting(*keys, value):
           ("blocks", ("experiment", "max_period"), 0),
           ("blocks", ("experiment", "probe_points"), 0),
           ("verify-zimmer", ("experiment", "closure_products"), 0),
+          # N < 1 compares h_xy with itself (0) or breaks the stable set (-3)
+          ("holonomy", ("experiment", "intertwine_n"), 0),
+          ("holonomy", ("experiment", "intertwine_n"), -3),
       ]),
+    # real-valued keys take finite JSON numbers, within the library's bounds
+    # and >= 0 for a tolerance; float() would read strings and true
+    *(pytest.param(kind, corrupt, path, id=name) for kind, corrupt, path, name in [
+        ("blocks", _setting("experiment", "theta", value="nan"), "$.experiment.theta",
+         "blocks-theta-string-nan"),
+        ("blocks", _setting("experiment", "theta", value=math.nan), "$.experiment.theta",
+         "blocks-theta-nan"),
+        ("blocks", _setting("experiment", "theta", value=0), "$.experiment.theta",
+         "blocks-theta-zero"),
+        ("reconstruct", _setting("experiment", "tolerance", value="inf"),
+         "$.experiment.tolerance", "reconstruct-tolerance-string-inf"),
+        ("reconstruct", _setting("experiment", "path_tolerance", value=-1e-9),
+         "$.experiment.path_tolerance", "reconstruct-path_tolerance-negative"),
+        ("reconstruct", _setting("descriptor", "exponent", value="0"),
+         "$.descriptor.exponent", "reconstruct-exponent-string"),
+        ("holonomy", _setting("system", "tau", value=True), "$.system.tau",
+         "holonomy-tau-true"),
+        ("holonomy", _setting("system", "tau", value=0.0), "$.system.tau",
+         "holonomy-tau-zero"),
+        ("holonomy", _setting("system", "tau", value=10 ** 400), "$.system.tau",
+         "holonomy-tau-huge-int"),
+        ("holonomy", _setting("experiment", "tolerance", value="1e-12"),
+         "$.experiment.tolerance", "holonomy-tolerance-string"),
+        ("holonomy", _setting("experiment", "lipschitz_bound", value=math.inf),
+         "$.experiment.lipschitz_bound", "holonomy-lipschitz_bound-inf"),
+        ("shadow", _setting("experiment", "alpha", value="0.1"), "$.experiment.alpha",
+         "shadow-alpha-string"),
+        ("shadow", _setting("experiment", "alpha", value=1.0), "$.experiment.alpha",
+         "shadow-alpha-one"),
+        ("shadow", _setting("experiment", "theta", value=-3.0), "$.experiment.theta",
+         "shadow-theta-negative"),
+        ("shadow", _cone("cone_mu", "2"), "$.experiment.cone_mu", "shadow-cone_mu-string"),
+        ("shadow", _cone("cone_epsilon", -0.05), "$.experiment.cone_epsilon",
+         "shadow-cone_epsilon-negative"),
+        ("shadow", _cone("cone_delta", 0.0), "$.experiment.cone_delta",
+         "shadow-cone_delta-zero"),
+        # the cone split is a pair of block sizes, each at least 1
+        ("shadow", _cone("cone_split", [1.5, 1.5]), "$.experiment.cone_split",
+         "shadow-cone_split-reals"),
+        ("shadow", _cone("cone_split", [True, True]), "$.experiment.cone_split",
+         "shadow-cone_split-true"),
+        ("shadow", _cone("cone_split", [2, 0]), "$.experiment.cone_split",
+         "shadow-cone_split-empty-block"),
+        ("verify-zimmer", _setting("experiment", "tolerance", value=-1e-8),
+         "$.experiment.tolerance", "verify-zimmer-tolerance-negative"),
+    ]),
     ("exponents", _bad_word_budget, "$.experiment.budgets.words"),
     ("exponents", _list_budgets, "$.experiment.budgets"),
     ("reconstruct", _bad_block_dims, "$.descriptor.block_dims"),
@@ -363,3 +426,77 @@ def test_shadow_with_angle_experiment_tables():
     assert all(r["meets_bound"] for r in report["tables"]["projection_growth"])
     assert report["results"]["j0"] < report["results"]["j1"] \
         < report["results"]["u_m"]
+
+
+def reference_run_holonomy(cfg, q, metric, exp, rng, budgets):
+    """The per-pair loop that the holonomy experiment batches: each pair's
+    draws, single-point holonomies and orbit products, one pair at a time."""
+    mu = cli.build_measure(cfg, q)
+    a = cli.build_cocycle(cfg, q)
+    n_pairs = min(exp.get("pairs", 400), budgets["samples"])
+    inter_n = exp.get("intertwine_n", 10)
+    chain_worst = 0.0
+    inter_worst = 0.0
+    lip_max = 0.0
+    for _ in range(n_pairs):
+        x = sample_point(mu, rng, 12)
+        y = sample_stable_partner(mu, x, rng)
+        z = sample_stable_partner(mu, x, rng)
+        h_xy = stable_holonomy(a, x, y)
+        h_xz = stable_holonomy(a, x, z)
+        h_yz = stable_holonomy(a, y, z)
+        chain_worst = max(chain_worst, float(np.max(np.abs(
+            h_yz.matrix @ h_xy.matrix - h_xz.matrix))))
+        lhs = iterate(a, y.shifted(inter_n), -inter_n) @ stable_holonomy(
+            a, x.shifted(inter_n), y.shifted(inter_n)).matrix @ iterate(a, x, inter_n)
+        inter_worst = max(inter_worst, float(np.max(np.abs(h_xy.matrix - lhs))))
+        d = distance(x, y, metric)
+        if d > 0:
+            lip_max = max(lip_max, float(np.linalg.norm(
+                h_xy.matrix - np.eye(a.dimension), 2)) / d)
+        u = sample_unstable_partner(mu, x, rng)
+        h_u = unstable_holonomy(a, x, u)
+        chain_worst = max(chain_worst, float(np.max(np.abs(
+            unstable_holonomy(a, u, x).matrix @ h_u.matrix - np.eye(a.dimension)))))
+    results = {"pairs": n_pairs, "lipschitz_ratio_max": lip_max,
+               "intertwine_n": inter_n}
+    checks = [
+        cli._check("chain-rule", chain_worst, exp.get("tolerance", 1e-12),
+                   "holonomy: transport composes along stable triples"),
+        cli._check("intertwining", inter_worst, exp.get("tolerance", 1e-12),
+                   "holonomy: conjugation by orbit products"),
+        cli._check("lipschitz-finite", lip_max, exp.get("lipschitz_bound", 1e6),
+                   "holonomy: ||H - Id|| <= L rho"),
+    ]
+    return results, {}, checks
+
+
+def _holonomy_config(system):
+    """The bundled holonomy config, or one over another shift and cocycle:
+    the window-2 cocycle on the golden mean or a window-0 one on the 2-shift."""
+    cfg = load("holonomy")
+    if system == "bundled":
+        return cfg
+    q, mu, a = {"golden-window-2": (golden_mean_shift(), golden_mean_markov(),
+                                    mild_random_cocycle(golden_mean_shift(), 2, 3, 1.0)),
+                "2-shift-window-0": (full_shift(2), None,
+                                     mixed_hyperbolic_cocycle(full_shift(2)))}[system]
+    cfg["system"]["transition_matrix"] = q.as_array.tolist()
+    if mu is not None:
+        cfg["measure"]["transition_probabilities"] = mu.transition_probabilities.tolist()
+    cfg["cocycle"] = a.table_jsonable()
+    return cfg
+
+
+@pytest.mark.parametrize("system", ["bundled", "golden-window-2", "2-shift-window-0"])
+@pytest.mark.parametrize("inter_n", [1, 3, 10])
+def test_holonomy_report_equals_per_pair_loop(system, inter_n, monkeypatch):
+    # the batch draws every pair first in the loop's order and forms the same
+    # products, so the report bytes are the loop's
+    for seed in (0, 13, 2242528604):
+        cfg = _holonomy_config(system)
+        cfg["experiment"].update(seed=seed, intertwine_n=inter_n, pairs=80)
+        batched = emit(run(copy.deepcopy(cfg)), "json")
+        with monkeypatch.context() as m:
+            m.setitem(cli._HANDLERS, "holonomy", reference_run_holonomy)
+            assert emit(run(cfg), "json") == batched

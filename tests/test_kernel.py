@@ -30,7 +30,14 @@ from cocyclib.fixtures import (
     unipotent_example,
     window2_cocycle,
 )
-from cocyclib.measure import MarkovMeasure, cylinder_measure, sample_point
+from cocyclib.holonomy import holonomy_stack, stable_holonomy, unstable_holonomy
+from cocyclib.measure import (
+    MarkovMeasure,
+    cylinder_measure,
+    sample_point,
+    sample_stable_partner,
+    sample_unstable_partner,
+)
 from cocyclib.regularity import (
     _block_costs,
     distortion_growth_slope,
@@ -231,6 +238,27 @@ def test_word_transport_legs_are_the_point_legs(order, n_points, n_symbols, radi
         for words, pts in zip((frm, to), ends):
             assert same_bits(words, _words(pts, r))
             assert same_bits(iterate_many(a, words, n), [iterate(a, y, n) for y in pts])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["stable", "unstable"]), extra=st.integers(0, 2),
+       n_points=st.integers(1, 4), depth=st.integers(0, 3), length=st.integers(1, 6),
+       **systems)
+@example(kind="unstable", extra=0, n_points=3, depth=0, length=6, n_symbols=2, radius=2,
+         dim=2, seed=1)
+def test_holonomy_stack_equals_single_point_holonomies(kind, extra, n_points, depth,
+                                                       length, n_symbols, radius, dim,
+                                                       seed):
+    # the stacked rule that the transport and the holonomy experiment share
+    # equals stable_holonomy / unstable_holonomy on each pair of partners
+    mu, a, rng = random_system(n_symbols, radius, dim, seed)
+    partner, single = ((sample_stable_partner, stable_holonomy) if kind == "stable"
+                       else (sample_unstable_partner, unstable_holonomy))
+    frm = _random_points(mu, rng, n_points)
+    to = [partner(mu, x, rng, length, depth) for x in frm]
+    r = 2 * radius + extra
+    got = holonomy_stack(a, kind, _words(frm, r), _words(to, r))
+    assert same_bits(got, [single(a, y, z).matrix for y, z in zip(frm, to)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cocyclib.cocycle import LocallyConstantCocycle
+from cocyclib.cocycle import LocallyConstantCocycle, iterate
 from cocyclib.fixtures import (
+    mild_random_cocycle,
     mixed_hyperbolic_cocycle,
     orthogonal_cocycle,
     peel_fixture,
@@ -13,7 +14,7 @@ from cocyclib.fixtures import (
     unipotent_example,
 )
 from cocyclib.linalg import Flag, Subspace
-from cocyclib.measure import sample_point
+from cocyclib.measure import golden_mean_markov, sample_point, uniform_bernoulli
 from cocyclib.regularity import (
     BlockParams,
     block_membership_finite,
@@ -29,6 +30,8 @@ from cocyclib.sft import (
     BudgetExceededError,
     enumerate_periodic,
     fixed_point,
+    full_shift,
+    golden_mean_shift,
     periodic_point,
 )
 
@@ -103,6 +106,50 @@ def test_monte_carlo_identity_and_reproducibility(q2, mu2):
     r1 = monte_carlo_exponent(a, mu2, 3, 200, np.random.default_rng(9))
     r2 = monte_carlo_exponent(a, mu2, 3, 200, np.random.default_rng(9))
     assert r1 == r2
+
+
+def reference_monte_carlo(a, mu, n, trials, rng):
+    """The per-trial loop that monte_carlo_exponent batches: one point and
+    two orbit-product norms per trial."""
+    k = a.window_radius
+    plus = np.empty(trials)
+    minus = np.empty(trials)
+    for t in range(trials):
+        x = sample_point(mu, rng, 2 * (n + k), start=-(n + k))
+        plus[t] = math.log(np.linalg.norm(iterate(a, x, n), 2)) / n
+        minus[t] = math.log(np.linalg.norm(iterate(a, x, -n), 2)) / n
+    se = [float(v.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+          for v in (plus, minus)]
+    return float(plus.mean()), float(-minus.mean()), max(se)
+
+
+@pytest.mark.parametrize("golden", [False, True], ids=["2-shift", "golden-mean"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_monte_carlo_equals_per_trial_loop(golden, k, n):
+    # the batch draws the same points in the same order and forms the same
+    # products, so the estimates are equal and the generator ends in the
+    # same state
+    q, mu = ((golden_mean_shift(), golden_mean_markov()) if golden
+             else (full_shift(2), uniform_bernoulli(2)))
+    a = mild_random_cocycle(q, k, seed=11 + k, scale=1.0)
+    for seed in range(5):
+        trials = 20 + 7 * seed
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rep = monte_carlo_exponent(a, mu, n, trials, rng)
+        assert (rep.lambda_plus, rep.lambda_minus, rep.error_estimate) == \
+            reference_monte_carlo(a, mu, n, trials, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_monte_carlo_overflow_and_bad_n(q2, mu2):
+    a = LocallyConstantCocycle.constant(q2, 1e100 * np.eye(2))
+    assert math.isfinite(monte_carlo_exponent(a, mu2, 3, 5, np.random.default_rng(0))
+                         .lambda_plus)
+    with pytest.raises(OverflowError, match="n=4"):
+        monte_carlo_exponent(a, mu2, 4, 5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        monte_carlo_exponent(a, mu2, 0, 5, np.random.default_rng(0))
 
 
 def test_subadditivity_of_exact_sums(q2, mu2):
