@@ -21,6 +21,7 @@ from .sft import (  # noqa: F401
     is_admissible,
     periodic_point,
     point,
+    same_sequence,
     shift,
 )
 from .measure import MarkovMeasure, cylinder_measure, sample_point, stationary  # noqa: F401
@@ -68,8 +69,6 @@ from .transfer import (  # noqa: F401
     exact_conjugacy_residual,
     exact_path_gap,
     holder_estimate,
-    periodic_consistency_solve,
     superdiagonal_peel,
-    two_block_recover,
     verify_conjugacy,
 )

@@ -329,18 +329,12 @@ def _run_holonomy(cfg, q, metric, exp, rng, budgets):
     lhs = (iterate_many(a, _windows(ys, -k, 2 * n + k), -n) @ h_n
            @ iterate_many(a, _windows(xs, -n - k, n + k), n))
     inter = np.abs(h_xy - lhs).max(axis=(1, 2))
-    dists = [distance(x, y, metric) for x, y in zip(xs, ys)]
-    lips = iter(np.linalg.svd(h_xy[np.array(dists) > 0] - eye,
-                              compute_uv=False).max(axis=-1).tolist())
-    chain_worst = 0.0
-    inter_worst = 0.0
-    lip_max = 0.0
-    for c_s, c_i, d, c_u in zip(chain_s.tolist(), inter.tolist(), dists, chain_u.tolist()):
-        chain_worst = max(chain_worst, c_s)
-        inter_worst = max(inter_worst, c_i)
-        if d > 0:
-            lip_max = max(lip_max, next(lips) / d)
-        chain_worst = max(chain_worst, c_u)
+    dists = np.array([distance(x, y, metric) for x, y in zip(xs, ys)])
+    near = dists > 0
+    svals = np.linalg.svd(h_xy[near] - eye, compute_uv=False).max(axis=-1)
+    chain_worst = float(np.maximum(chain_s, chain_u).max())
+    inter_worst = float(inter.max())
+    lip_max = float(np.max(svals / dists[near], initial=0.0))
     results = {"pairs": n_pairs, "lipschitz_ratio_max": lip_max,
                "intertwine_n": inter_n}
     checks = [

@@ -2,8 +2,8 @@
 
 For a window-k generator the defining limit lim (A^n(z))^{-1} A^n(y)
 stabilizes exactly at n = k because all factors beyond step k coincide
-along a common local stable set.  A truncated numeric fallback is kept for
-generators that are not locally constant.
+along a common local stable set; every holonomy here is that finite
+product.
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import math
-
 from .cocycle import LocallyConstantCocycle, iterate, iterate_many
-from .sft import MetricParams, SymbolicPoint, bracket, same_future, same_past
+from .sft import SymbolicPoint, bracket, same_future, same_past
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,53 +61,6 @@ def holonomy_stack(a: LocallyConstantCocycle, kind: str, frm: np.ndarray,
     checked here."""
     n = a.window_radius if kind == "stable" else -a.window_radius
     return np.linalg.solve(iterate_many(a, to, n), iterate_many(a, frm, n))
-
-
-def truncated_stable_holonomy(a: LocallyConstantCocycle, y: SymbolicPoint,
-                              z: SymbolicPoint, tol: float = 1e-13,
-                              max_n: int = 64) -> HolonomyMap:
-    """Numeric fallback: truncate the limit when successive terms differ by
-    less than tol.  Agrees with the exact product for locally constant
-    generators once n reaches the window radius."""
-    if not same_future(y, z):
-        raise ValueError("points do not lie on a common local stable set")
-    prev = np.eye(a.dimension)
-    fy = np.eye(a.dimension)
-    fz = np.eye(a.dimension)
-    for n in range(1, max_n + 1):
-        fy = iterate(a, y.shifted(n - 1), 1) @ fy
-        fz = iterate(a, z.shifted(n - 1), 1) @ fz
-        current = np.linalg.inv(fz) @ fy
-        if np.max(np.abs(current - prev)) < tol:
-            return HolonomyMap(y, z, "stable", current, n)
-        prev = current
-    raise ValueError(f"truncated holonomy did not stabilize within {max_n} steps")
-
-
-def truncated_unstable_holonomy(a: LocallyConstantCocycle, y: SymbolicPoint,
-                                z: SymbolicPoint, tol: float = 1e-13,
-                                max_n: int = 64) -> HolonomyMap:
-    if not same_past(y, z):
-        raise ValueError("points do not lie on a common local unstable set")
-    prev = np.eye(a.dimension)
-    for n in range(1, max_n + 1):
-        current = np.linalg.inv(iterate(a, z, -n)) @ iterate(a, y, -n)
-        if np.max(np.abs(current - prev)) < tol:
-            return HolonomyMap(y, z, "unstable", current, n)
-        prev = current
-    raise ValueError(f"truncated holonomy did not stabilize within {max_n} steps")
-
-
-def transverse_regime_tau_prime(a: LocallyConstantCocycle,
-                                metric: MetricParams) -> float:
-    """Scale constant 2 tau + 2 eta + ln 2 for transverse-continuity sampling.
-
-    Quadruples used to measure transverse holonomy continuity should keep
-    d(x, x') below exp(-n tau') when comparing against depth-n intertwined
-    holonomies, so the sampled pairs stay inside the regime where the
-    estimate applies.
-    """
-    return 2.0 * metric.tau + 2.0 * a.log_bound + math.log(2.0)
 
 
 def composed_holonomy(a: LocallyConstantCocycle, x: SymbolicPoint,

@@ -140,12 +140,6 @@ class Flag:
         return Flag(tuple(s.map_by(m) for s in self.subspaces))
 
 
-def standard_flag(d: int, dims: Sequence[int]) -> Flag:
-    """Coordinate flag with the given cumulative dimensions (ending at d)."""
-    subs = [Subspace.standard(d, range(k)) for k in dims]
-    return Flag(tuple(subs))
-
-
 def oblique_projection(v: Subspace, w: Subspace, cond_bound: float = 1e10) -> np.ndarray:
     """Idempotent matrix with image v and kernel w (requires v + w = R^d)."""
     d = v.ambient_dim
@@ -184,26 +178,6 @@ def largest_principal_angle(v: Subspace, w: Subspace) -> float:
     if v.dim == 0:
         return 0.0
     return float(_principal_angles(v, w)[-1])
-
-
-def vector_subspace_angle(vec: np.ndarray, w: Subspace) -> float:
-    """Angle between a nonzero vector and a subspace."""
-    vec = np.asarray(vec, dtype=float)
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValueError("zero vector has no angle")
-    if w.dim == 0:
-        return math.pi / 2
-    inside = np.linalg.norm(w.basis.T @ vec) / norm
-    return float(np.arccos(np.clip(inside, -1.0, 1.0)))
-
-
-def line_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Projective (angle-metric) distance between the lines spanned by u, v."""
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    c = abs(float(u @ v)) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return float(np.arccos(np.clip(c, 0.0, 1.0)))
 
 
 def projective_lipschitz_bound(a: np.ndarray,

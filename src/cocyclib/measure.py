@@ -86,9 +86,9 @@ class MarkovMeasure:
     """Stationary Markov measure with support matching a transition matrix.
 
     Construction checks that P is square, nonnegative and row-stochastic,
-    that the stationary vector is a probability vector of matching length
-    and that the support is exactly P > 0; :meth:`from_matrix` also checks
-    irreducibility and pi P = pi.
+    that the stationary vector is a finite probability vector of matching
+    length and that the support is exactly P > 0; :meth:`from_matrix` also
+    checks irreducibility and pi P = pi.
     """
 
     transition_probabilities: np.ndarray
@@ -102,7 +102,7 @@ class MarkovMeasure:
             raise ValueError(
                 f"stationary distribution has shape {pi.shape}, expected "
                 f"({p.shape[0]},)")
-        if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-10:
+        if not np.all(np.isfinite(pi)) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-10:
             raise ValueError("stationary distribution must be a probability vector")
         if self.support.as_array.tolist() != (p > 0).astype(int).tolist():
             raise ValueError("support differs from the positive entries of P")

@@ -358,6 +358,7 @@ def agreement_radius(x: SymbolicPoint, y: SymbolicPoint) -> int | float:
 
 
 def same_sequence(x: SymbolicPoint, y: SymbolicPoint) -> bool:
+    """True iff x and y are the same sequence, whatever their layouts."""
     return agreement_radius(x, y) is INFINITE
 
 

@@ -34,14 +34,12 @@ from .cocycle import (
     LocallyConstantCocycle,
     coboundary_conjugate,
     evaluate,
-    iterate,
 )
 from .holonomy import holonomy_stack
 from .linalg import condition_number
 from .sft import (
     BudgetExceededError,
     MetricParams,
-    PeriodicPoint,
     SymbolicPoint,
     TransitionMatrix,
     admissible_word_array,
@@ -317,36 +315,6 @@ def _check_corners(checks: Sequence[tuple[np.ndarray, float]]) -> None:
         window, corner = divmod(int(failed[0]), len(checks))
         residual, tol = checks[corner]
         raise StageError("corner-transport-diagonal", float(residual[window]), tol)
-
-
-def two_block_recover(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
-                      desc: ZimmerDescriptor,
-                      base_corner_values: Sequence[np.ndarray],
-                      tol: float = 1e-8) -> CornerEvaluator:
-    """Evaluator for the upper corner of a unipotent conjugacy between two
-    2-block cocycles with matching diagonal blocks.
-
-    Corner seeds (one per symbol) are transported by the subsystem
-    holonomies, whose diagonal parts are the diagonal-block holonomies
-    H^1 and H^2 of the recovery rule C(x') = H^1 C(x) (H^2)^{-1}.
-    """
-    if desc.num_blocks != 2:
-        raise ValueError("two_block_recover needs a 2-block descriptor")
-    if desc.exponent != 0.0:
-        raise ValueError("descriptor exponent must be 0")
-    _check_membership(a, b, desc, tol)
-    diag_gap = _block_difference(a, b, desc, [(0, 0), (1, 1)])
-    if diag_gap > tol:
-        raise ValueError(
-            f"diagonal blocks differ by {diag_gap:.3e}; an identity-diagonal "
-            f"conjugacy cannot exist"
-        )
-    d1, d2 = desc.block_dims
-    basepoints = default_basepoints(a.q)
-    seeds = tuple(embed_corner(np.asarray(v, dtype=float), d1, d2)
-                  for v in base_corner_values)
-    sub = TransferEvaluator(a, b, basepoints, seeds, rule="two-block-corner")
-    return CornerEvaluator(sub, d1, d2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -640,50 +608,3 @@ def holder_estimate(evaluator, pairs: Sequence[tuple[SymbolicPoint, SymbolicPoin
         return HOLDER_SENTINEL, 0.0
     slope, intercept = np.polyfit(np.array(logs_d), np.array(logs_v), 1)
     return float(slope), float(math.exp(intercept))
-
-
-@dataclass(frozen=True)
-class PeriodicConsistency:
-    """Solution space of the periodic intertwining A^q(p) X = X B^q(p)."""
-
-    basis: tuple[np.ndarray, ...]
-    invertible_example: np.ndarray | None
-
-    @property
-    def has_invertible(self) -> bool:
-        return self.invertible_example is not None
-
-
-def periodic_consistency_solve(a: LocallyConstantCocycle,
-                               b: LocallyConstantCocycle, p: PeriodicPoint,
-                               sv_tol: float = 1e-10,
-                               rng: np.random.Generator | None = None) -> PeriodicConsistency:
-    """Basis of {X : A^q(p) X = X B^q(p)} with an invertible representative
-    when one exists (searched over random basis combinations)."""
-    d = a.dimension
-    ma = iterate(a, p.as_point(), p.period)
-    mb = iterate(b, p.as_point(), p.period)
-    # vec is column-stacking: vec(M X) = (I kron M) vec X, vec(X N) = (N^T kron I) vec X.
-    k = np.kron(np.eye(d), ma) - np.kron(mb.T, np.eye(d))
-    _, s, vt = np.linalg.svd(k)
-    scale = max(1.0, s[0]) if s.size else 1.0
-    null = [vt[i].reshape(d, d, order="F") for i in range(d * d)
-            if s[i] <= sv_tol * scale]
-    basis = tuple(m / np.linalg.norm(m) for m in null)
-    if rng is None:
-        rng = np.random.default_rng(11)
-    invertible = None
-    det_tol = 1e-10
-    candidates = list(basis) + [
-        sum(c * m for c, m in zip(rng.normal(size=len(basis)), basis))
-        for _ in range(20) if basis
-    ]
-    for cand in candidates:
-        cand = np.asarray(cand)
-        norm = np.linalg.norm(cand)
-        if norm == 0:
-            continue
-        if abs(np.linalg.det(cand / norm)) > det_tol:
-            invertible = cand
-            break
-    return PeriodicConsistency(basis, invertible)

@@ -134,31 +134,3 @@ def normalize_exponent(a: LocallyConstantCocycle, lam: float) -> LocallyConstant
     """Scale every table entry by e^-lambda (turns U_lambda-valued into
     U_0-valued)."""
     return scale(a, math.exp(-lam))
-
-
-def assemble_framing(v1_frame: np.ndarray, quotient_frame: np.ndarray,
-                     complement_basis: np.ndarray,
-                     cond_bound: float = 1e10) -> np.ndarray:
-    """Concatenate a frame of an invariant subspace with lifts of a quotient
-    frame through a chosen complement.
-
-    quotient_frame is given in complement coordinates (r x r); its columns
-    are lifted to ambient vectors through complement_basis (d x r).  The
-    result is the d x (k + r) frame [v1 | lifts]; when k + r = d it must be
-    invertible.
-    """
-    v1_frame = np.asarray(v1_frame, dtype=float)
-    complement_basis = np.asarray(complement_basis, dtype=float)
-    quotient_frame = np.asarray(quotient_frame, dtype=float)
-    d = complement_basis.shape[0]
-    if v1_frame.size == 0:
-        v1_frame = v1_frame.reshape(d, 0)
-    lifts = complement_basis @ quotient_frame
-    frame = np.hstack([v1_frame, lifts])
-    if frame.shape[1] == d:
-        s = np.linalg.svd(frame, compute_uv=False)
-        if s[-1] <= 0 or s[0] / s[-1] > cond_bound:
-            raise ValueError("assembled frame is numerically singular; "
-                             "complement is not transverse")
-    return frame
-

@@ -303,6 +303,9 @@ def _cone(key, value):
          "shadow-cone_split-empty-block"),
         ("verify-zimmer", _setting("experiment", "tolerance", value=-1e-8),
          "$.experiment.tolerance", "verify-zimmer-tolerance-negative"),
+        # json reads NaN, and nan > tol is false, so only a finiteness check stops it
+        ("exponents", _setting("measure", "stationary", value=[math.nan, math.nan]),
+         "$.measure", "exponents-stationary-nan"),
     ]),
     ("exponents", _bad_word_budget, "$.experiment.budgets.words"),
     ("exponents", _list_budgets, "$.experiment.budgets"),

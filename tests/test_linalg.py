@@ -18,15 +18,25 @@ from cocyclib.linalg import (
     eigensplit,
     invariance_inequality_lhs,
     largest_principal_angle,
-    line_angle,
     oblique_projection,
     principal_angle,
     projective_lipschitz_bound,
-    standard_flag,
     transversality_time,
-    vector_subspace_angle,
 )
 from cocyclib.zimmer import haar_orthogonal
+
+
+def line_angle(u, v):
+    """Reference: the angle-metric distance between the lines spanned by u
+    and v, the metric of :func:`projective_lipschitz_bound`."""
+    c = abs(float(u @ v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+    return float(np.arccos(np.clip(c, 0.0, 1.0)))
+
+
+def vector_subspace_angle(vec, w):
+    """Reference: the angle between a nonzero vector and a nonzero subspace."""
+    inside = np.linalg.norm(w.basis.T @ vec) / np.linalg.norm(vec)
+    return float(np.arccos(np.clip(inside, -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +97,7 @@ def test_principal_angle_zero_iff_intersection(rng):
 
 
 def test_flag_validation():
-    f = standard_flag(3, [1, 2, 3])
+    f = Flag(tuple(Subspace.standard(3, range(k)) for k in (1, 2, 3)))
     assert [s.dim for s in f.subspaces] == [1, 2, 3]
     with pytest.raises(ValueError, match="full space"):
         Flag((Subspace.standard(3, [0]),))

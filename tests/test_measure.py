@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,9 @@ def test_supplied_stationary_vector_validated():
     np.testing.assert_allclose(mu.stationary_distribution, [2 / 3, 1 / 3])
     with pytest.raises(ValueError, match="stationary"):
         MarkovMeasure.from_matrix(p, pi=[0.5, 0.5])
+    # nan > tol is false, so pi P = pi alone would let this through
+    with pytest.raises(ValueError, match="probability vector"):
+        MarkovMeasure.from_matrix(p, pi=[math.nan, math.nan])
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +167,7 @@ def _golden_parts():
     (np.full((2, 2), 0.5), [0.5, 0.5], golden_mean_shift(), "support"),
     (np.full((3, 3), 1 / 3), [1 / 3] * 3, full_shift(2), "support"),
     (_golden_parts()[0], _golden_parts()[1], full_shift(2), "support"),
+    (np.full((2, 2), 0.5), [math.nan, math.nan], full_shift(2), "probability vector"),
 ])
 def test_hand_built_measure_rejected(p, pi, support, match):
     with pytest.raises(ValueError, match=match):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 from types import SimpleNamespace
@@ -13,6 +12,7 @@ from cocyclib.cocycle import (
     coboundary_conjugate,
     evaluate,
     inverse_cocycle,
+    iterate,
 )
 from cocyclib.fixtures import (
     mild_random_cocycle,
@@ -27,11 +27,12 @@ from cocyclib.sft import (
     admissible_words,
     bracket,
     close_word,
-    fixed_point,
+    enumerate_periodic,
     full_shift,
     golden_mean_shift,
 )
 from cocyclib.transfer import (
+    CornerEvaluator,
     PeeledEvaluator,
     StageError,
     TransferEvaluator,
@@ -45,9 +46,7 @@ from cocyclib.transfer import (
     holder_estimate,
     materialize,
     minimize_table,
-    periodic_consistency_solve,
     superdiagonal_peel,
-    two_block_recover,
     verify_conjugacy,
 )
 from cocyclib.zimmer import ZimmerDescriptor, haar_orthogonal, membership
@@ -94,38 +93,57 @@ def test_propagate_recovers_unipotent_frame(q2, mu2, rng):
     assert worst <= 1e-10
 
 
+# Two-block recovery: on a 2-block descriptor the peel's single offset stage
+# recovers the upper corner, transported by the full subsystem holonomies.
+
+
+def corner_recovery(a, b, desc, seeds, diag_tol=1e-8):
+    """The offset-1 corner transport of a 2-block pair built by hand: the
+    seeds' upper corners, embedded as unipotents, moved by the holonomies
+    of A and B themselves."""
+    d1, d2 = desc.block_dims
+    embedded = tuple(embed_corner(desc.block(np.asarray(s, float), 0, 1), d1, d2)
+                     for s in seeds)
+    sub = TransferEvaluator(a, b, default_basepoints(a.q), embedded)
+    return CornerEvaluator(sub, d1, d2, diag_tol)
+
+
 def test_two_block_recover_zero_corner(q2, mu2, rng):
     a = peel_fixture(seed=31, dims=(1, 1), conjugator_window=0).base
-    ev = two_block_recover(a, a, DESC2, [np.zeros((1, 1)), np.zeros((1, 1))])
+    ev = superdiagonal_peel(a, a, DESC2, [np.eye(2), np.eye(2)])
     for x in _points(mu2, rng, 15):
-        np.testing.assert_allclose(ev.evaluate(x), np.zeros((1, 1)),
+        np.testing.assert_allclose(ev.evaluate(x)[:1, 1:], np.zeros((1, 1)),
                                    atol=1e-12)
 
 
 def test_two_block_recover_unipotent_phi(q2, mu2, rng):
-    # 1x1 diagonal blocks with trivial holonomies: the corner is phi(x) = x_0
+    # 1x1 diagonal blocks with trivial holonomies: peeled from the frame's
+    # seeds, the corner is phi(x) = x_0 in both transport orders
     ex = unipotent_example(q2)
-    bps = default_basepoints(q2)
-    seeds = [np.array([[float(w[0])]]) for w in bps]
-    ev = two_block_recover(ex.b, ex.a, DESC2, seeds)
+    seeds = [evaluate(ex.frame, w) for w in default_basepoints(q2)]
+    ev = superdiagonal_peel(ex.a, ex.b, DESC2, seeds)
     for x in _points(mu2, rng, 50, length=8):
-        np.testing.assert_allclose(ev.evaluate(x), [[float(x[0])]],
-                                    atol=1e-13)
-        np.testing.assert_allclose(ev.evaluate(x, "su"), [[float(x[0])]],
-                                    atol=1e-13)
+        np.testing.assert_allclose(ev.evaluate(x)[:1, 1:], [[float(x[0])]],
+                                   atol=1e-13)
+        np.testing.assert_allclose(ev.evaluate(x, "su")[:1, 1:], [[float(x[0])]],
+                                   atol=1e-13)
 
 
 def test_two_block_recover_rejects_mismatched_diagonals(q2):
+    # the diagonal blocks are signs that differ on some window, so no
+    # identity-diagonal conjugacy exists and the diagonal check fails by 2
     a = peel_fixture(seed=33, dims=(1, 1), conjugator_window=0).base
     b = peel_fixture(seed=34, dims=(1, 1), conjugator_window=0).base
-    with pytest.raises(ValueError, match="diagonal"):
-        two_block_recover(a, b, DESC2, [np.zeros((1, 1)), np.zeros((1, 1))])
+    with pytest.raises(StageError) as err:
+        superdiagonal_peel(a, b, DESC2, [np.eye(2), np.eye(2)])
+    assert err.value.stage == "diagonal"
+    assert err.value.residual == 2.0
 
 
 def test_two_block_recover_membership_gate(q2):
     bad = LocallyConstantCocycle.constant(q2, np.diag([2.0, 0.5]))
     with pytest.raises(ValueError, match="membership"):
-        two_block_recover(bad, bad, DESC2, [np.zeros((1, 1))] * 2)
+        superdiagonal_peel(bad, bad, DESC2, [np.eye(2)] * 2)
 
 
 def test_peel_identity_when_equal(q2, mu2, rng):
@@ -169,13 +187,14 @@ def test_peel_two_block_reduces_to_corner_recovery(q2, mu2, rng):
     a, u, b = fix.base, fix.conjugator, fix.result
     seeds = [np.linalg.inv(evaluate(u, w)) for w in default_basepoints(q2)]
     ev = superdiagonal_peel(a, b, DESC2, seeds)
-    corner_seeds = [s[:1, 1:] for s in seeds]
-    corner_ev = two_block_recover(a, b, DESC2, corner_seeds)
+    corner_ev = corner_recovery(a, b, DESC2, seeds)
     for x in _points(mu2, rng, 40):
         full = ev.evaluate(x)
         np.testing.assert_allclose(full[:1, 1:], corner_ev.evaluate(x),
                                    atol=1e-12)
         np.testing.assert_allclose(np.diag(full), np.ones(2), atol=1e-12)
+        # su tables are the transport bit for bit (they are not minimized)
+        assert same_bits(ev.evaluate(x, "su")[:1, 1:], corner_ev.evaluate(x, "su"))
 
 
 def test_peel_matches_known_transfer_pointwise(q2, mu2, rng):
@@ -277,35 +296,27 @@ def test_holder_estimate_tau_rescaling(q2, mu2, rng):
     assert a1 == pytest.approx(2.0 * a2, rel=1e-9)
 
 
-def test_periodic_consistency_identity_case(q2):
-    a = mild_random_cocycle(q2, 0, seed=21)
-    p = fixed_point(q2, 0)
-    sol = periodic_consistency_solve(a, a, p)
-    assert sol.has_invertible
-    # the identity lies in the solution span
-    coeffs, *_ = np.linalg.lstsq(
-        np.column_stack([m.reshape(-1) for m in sol.basis]),
-        np.eye(a.dimension).reshape(-1), rcond=None)
-    recon = sum(c * m for c, m in zip(coeffs, sol.basis))
-    np.testing.assert_allclose(recon, np.eye(a.dimension), atol=1e-10)
-
-
-def test_periodic_consistency_jordan_obstruction(q2):
-    # diagonalizable vs Jordan-type return maps: no invertible intertwiner
-    a = LocallyConstantCocycle.constant(q2, np.diag([2.0, 0.5]))
-    b = LocallyConstantCocycle.constant(q2, np.array([[2.0, 1.0], [0.0, 2.0]]))
-    sol = periodic_consistency_solve(a, b, fixed_point(q2, 0))
-    assert not sol.has_invertible
-
-
-def test_periodic_consistency_commuting_centralizer(q2):
-    # A = B constant diagonal with distinct entries: solution space is the
-    # centralizer (diagonal matrices), dimension 2
-    a = LocallyConstantCocycle.constant(q2, np.diag([2.0, 0.5]))
-    sol = periodic_consistency_solve(a, a, fixed_point(q2, 0))
-    assert len(sol.basis) == 2
-    for m in sol.basis:
-        assert abs(m[0, 1]) <= 1e-10 and abs(m[1, 0]) <= 1e-10
+@pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("window", [0, 1])
+@pytest.mark.parametrize("seed", [3, 7])
+def test_peeled_conjugacy_intertwines_periodic_return_maps(q2, dims, window, seed):
+    # A(x) C(x) = C(shift x) B(x) iterated around a p-periodic x gives
+    # A^p(x) C(x) = C(x) B^p(x).  Continuous conjugacies intertwine the
+    # periodic data (Kalinin-Sadovskaya, J. Mod. Dyn. 4, 2010); this is a
+    # necessary condition only, which the peeled C must meet at every
+    # periodic point of period up to 6 in both transport orders.
+    fix = peel_fixture(seed=seed, dims=dims, conjugator_window=window)
+    a, u, b = fix.base, fix.conjugator, fix.result
+    seeds = [np.linalg.inv(evaluate(u, w)) for w in default_basepoints(q2)]
+    ev = superdiagonal_peel(a, b, ZimmerDescriptor(dims, 0.0), seeds)
+    for period in range(1, 7):
+        for p in enumerate_periodic(q2, period):
+            x = p.as_point()
+            ap, bp = iterate(a, x, period), iterate(b, x, period)
+            for order in ("us", "su"):
+                c = ev.evaluate(x, order)
+                gap = np.max(np.abs(ap @ c - c @ bp))
+                assert gap <= 1e-12 * np.max(np.abs(ap)) * np.max(np.abs(c))
 
 
 def test_peeled_evaluate_accepts_only_the_two_orders(q2, mu2, rng):
@@ -611,9 +622,7 @@ def test_corner_diagonal_check_trips_in_both_paths(q2):
     assert peeled.value.stage == "corner-transport-diagonal"
     assert peeled.value.residual > 0.0
 
-    corner = dataclasses.replace(
-        two_block_recover(a, b, desc, [desc.block(s, 0, 1) for s in seeds]),
-        diag_tol=0.0)
+    corner = corner_recovery(a, b, desc, seeds, diag_tol=0.0)
     radius = 2 * max(a.window_radius, b.window_radius)
     first = None
     for w in admissible_words(q2, 2 * radius + 1):

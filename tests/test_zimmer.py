@@ -11,8 +11,6 @@ from cocyclib.regularity import periodic_exponents
 from cocyclib.sft import fixed_point
 from cocyclib.zimmer import (
     ZimmerDescriptor,
-    assemble_framing,
-    haar_orthogonal,
     membership,
     normalize_exponent,
     quotient_action,
@@ -99,42 +97,6 @@ def test_normalize_exponent(q2, rng):
     unchanged = normalize_exponent(a, 0.0)
     for w, m in a.table.items():
         np.testing.assert_array_equal(unchanged.table[w], m)
-
-
-def test_assemble_framing_examples(rng):
-    # trivial invariant part: the quotient frame is lifted through the
-    # complement unchanged
-    comp = np.eye(3)
-    quotient_frame = haar_orthogonal(rng, 3)
-    frame = assemble_framing(np.zeros((3, 0)), quotient_frame, comp)
-    np.testing.assert_allclose(frame, quotient_frame)
-
-    # 2d: isometric line plus isometric quotient -> unipotent-style member
-    v1 = np.array([[1.0], [0.0]])
-    comp = np.array([[0.3], [1.0]])  # any complement to span(e1)
-    frame = assemble_framing(v1, np.array([[1.0]]), comp)
-    a = np.array([[1.0, 0.7], [0.0, 1.0]])  # preserves span(e1) isometrically
-    conj = np.linalg.inv(frame) @ a @ frame
-    assert membership(conj, DESC11, 1e-10).ok
-
-
-def test_assemble_framing_rejects_degenerate():
-    v1 = np.array([[1.0], [0.0]])
-    comp = np.array([[1.0], [1e-14]])
-    with pytest.raises(ValueError, match="transverse"):
-        assemble_framing(v1, np.array([[1.0]]), comp)
-
-
-def test_assemble_framing_reproduces_block_form(q2, rng):
-    # conjugating a 2-block cocycle by its own standard framing keeps the
-    # block presentation
-    from cocyclib.fixtures import mixed_two_block_cocycle
-
-    a = mixed_two_block_cocycle(q2)
-    frame = assemble_framing(np.array([[1.0], [0.0]]), np.array([[1.0]]),
-                             np.array([[0.0], [1.0]]))
-    for m in a.table.values():
-        assert membership(np.linalg.inv(frame) @ m @ frame, DESC11).ok
 
 
 @settings(max_examples=25, deadline=None)
