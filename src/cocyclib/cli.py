@@ -198,6 +198,12 @@ def build_descriptor(cfg: dict) -> ZimmerDescriptor:
                   lambda dims: ZimmerDescriptor(tuple(map(_integer, dims)), exponent))
 
 
+def _check_dimension(path: str, dim: int, expected: int) -> None:
+    """Raise at a key path whose value acts on R^dim, not on R^expected."""
+    if dim != expected:
+        raise ConfigError(path, f"dimension {dim} does not match the cocycle's {expected}")
+
+
 def experiment_params(cfg: dict) -> dict:
     exp = _value(cfg, "$.experiment", dict)
     if "seed" not in exp:
@@ -410,8 +416,10 @@ def _run_shadow(cfg, q, metric, exp, rng, budgets):
     tables = {"growth": table["rows"]}
     checks = []
     if "flag_dims" in exp:
+        in_range = _list_of(lambda k: type(k) is int and 1 <= k <= a.dimension,
+                            f"dimensions in 1..{a.dimension}")
         flag = _value(exp, "$.experiment.flag_dims", lambda dims: Flag(tuple(
-            Subspace.standard(a.dimension, range(_integer(k))) for k in dims)))
+            Subspace.standard(a.dimension, range(k)) for k in in_range(dims))))
         with _config_value("$.experiment"):
             cone = ConeParams(_value(exp, "$.experiment.cone_split",
                                      lambda v: tuple(map(_at_least(1), v)),
@@ -452,16 +460,19 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
     mu = build_measure(cfg, q)
     a = build_cocycle(cfg, q)
     desc = build_descriptor(cfg)
+    _check_dimension("$.descriptor.block_dims", desc.dim, a.dimension)
     tol = _value(exp, "$.experiment.tolerance", _NONNEGATIVE, 1e-8)
     if "conjugator" in exp:
         u = build_cocycle(cfg, q, key="experiment.conjugator",
                           source=exp["conjugator"])
+        _check_dimension("$.experiment.conjugator", u.dimension, a.dimension)
         b = coboundary_conjugate(a, u)
         basepoints = default_basepoints(q)
         base_values = [np.linalg.inv(evaluate(u, w)) for w in basepoints]
     else:
         b = build_cocycle(cfg, q, key="experiment.cocycle_b",
                           source=_value(exp, "$.experiment.cocycle_b", dict))
+        _check_dimension("$.experiment.cocycle_b", b.dimension, a.dimension)
         base_values = _value(exp, "$.experiment.base_values",
                              lambda vs: _base_values(vs, q.size, a.dimension))
     evaluator = superdiagonal_peel(a, b, desc, base_values, tol=tol)
@@ -491,6 +502,7 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
 def _run_verify_zimmer(cfg, q, metric, exp, rng, budgets):
     a = build_cocycle(cfg, q)
     desc = build_descriptor(cfg)
+    _check_dimension("$.descriptor.block_dims", desc.dim, a.dimension)
     tol = _value(exp, "$.experiment.tolerance", _NONNEGATIVE, 1e-8)
     diag, lower = membership_residuals(a.stack, desc)
     diag = diag.max(axis=1)

@@ -41,77 +41,6 @@ def _orbit_span(k: int, n: int) -> tuple[int, int]:
     return (-k, n - 1 + k) if n >= 0 else (n - k, k - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitKernel:
-    """Indexes of a generator's stack for batched orbit products, derived
-    from its word array.
-
-    For whole symbol arrays a window w_0..w_{2k} is read by its base-q code
-    sum_i w_i q^(2k-i), which ``row_of_code`` maps to its row of ``stack``
-    (-1 where the table has no entry).  ``index``, the window -> row dict
-    and the cheaper lookup for a few windows at a time, and ``inverse``, the
-    entrywise matrix inverses of ``stack``, are built on first read, so a
-    table read only through ``rows`` never inverts its stack.  Single orbit
-    products start from the read-only ``identity``.
-    """
-
-    n_symbols: int
-    width: int
-    words: np.ndarray
-    row_of_code: np.ndarray
-    stack: np.ndarray
-    identity: np.ndarray
-
-    @cached_property
-    def index(self) -> dict[Word, int]:
-        return {w: row for row, w in enumerate(map(tuple, self.words.tolist()))}
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.stack)
-
-    def rows(self, symbols) -> np.ndarray:
-        """Table rows of the consecutive windows of each symbol sequence.
-
-        ``symbols`` has shape (..., M); the result has shape (..., M - 2k),
-        entry t being the row of the window symbols[..., t : t + 2k + 1].
-        """
-        sym = np.asarray(symbols, dtype=np.int64)
-        if sym.size and (sym.min() < 0 or sym.max() >= self.n_symbols):
-            raise KeyError(f"symbol outside the alphabet of {self.n_symbols}")
-        m = sym.shape[-1] - self.width + 1
-        code = sym[..., :m]
-        for i in range(1, self.width):
-            code = code * self.n_symbols + sym[..., i:i + m]
-        rows = self.row_of_code[code]
-        if np.any(rows < 0):
-            raise KeyError("window missing from the generator table")
-        return rows
-
-    def orbit_rows(self, points, n: int) -> np.ndarray:
-        """(len(points), |n|) rows of the factors of A^n in product order:
-        the factor at t for n >= 0 and at -1 - t for n < 0."""
-        lo, hi = _orbit_span(self.width // 2, n)
-        sym = np.array([x.window(lo, hi) for x in points], dtype=np.int64)
-        rows = self.rows(sym.reshape(len(points), hi - lo + 1))
-        return rows if n >= 0 else rows[:, ::-1]
-
-    @staticmethod
-    def fold(mats: np.ndarray, rows: np.ndarray,
-             start: np.ndarray | None = None) -> np.ndarray:
-        """The B products mats[rows[b, n-1]] ... mats[rows[b, 0]] @ start.
-
-        ``start`` defaults to the identity, so each product is formed with the
-        same factors in the same order as :func:`iterate`.
-        """
-        if start is None:
-            start = np.tile(np.eye(mats.shape[-1]), (rows.shape[0], 1, 1))
-        prod = start
-        for t in range(rows.shape[1]):
-            prod = mats[rows[:, t]] @ prod
-        return prod
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -192,16 +121,49 @@ class LocallyConstantCocycle:
         return max(0.0, math.log(s[:, 0].max()), -math.log(s[:, -1].min()))
 
     @cached_property
-    def kernel(self) -> OrbitKernel:
-        """Base-q window codes (built once); the kernel builds its window
-        index and stacked inverses when they are first read."""
-        q = self.q.size
-        width = 2 * self.window_radius + 1
+    def _row_of_code(self) -> np.ndarray:
+        """Row of ``stack`` at each base-q window code sum_i w_i q^(2k-i)
+        (-1 where the table has no entry), for reading whole symbol arrays."""
+        q, width = self.q.size, self.words.shape[1]
         row_of_code = np.full(q ** width, -1, dtype=np.int64)
         row_of_code[np.ravel_multi_index(tuple(self.words.T), (q,) * width)] = \
             np.arange(len(self.words))
-        return OrbitKernel(q, width, self.words, row_of_code, self.stack,
-                           _read_only(np.eye(self.dimension)))
+        return row_of_code
+
+    @cached_property
+    def index(self) -> dict[Word, int]:
+        """Window -> row of ``stack``, the lookup of single orbit products."""
+        return {w: row for row, w in enumerate(map(tuple, self.words.tolist()))}
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Matrix inverses of ``stack``, the factors of A^n for n < 0; a table
+        read only forwards or through :meth:`stack_at` never builds them."""
+        return np.linalg.inv(self.stack)
+
+    @cached_property
+    def _identity(self) -> np.ndarray:
+        """Read-only start of every single orbit product."""
+        return _read_only(np.eye(self.dimension))
+
+    def rows(self, symbols) -> np.ndarray:
+        """Table rows of the consecutive windows of each symbol sequence.
+
+        ``symbols`` has shape (..., M); the result has shape (..., M - 2k),
+        entry t being the row of the window symbols[..., t : t + 2k + 1].
+        """
+        sym = np.asarray(symbols, dtype=np.int64)
+        q, width = self.q.size, self.words.shape[1]
+        if sym.size and (sym.min() < 0 or sym.max() >= q):
+            raise KeyError(f"symbol outside the alphabet of {q}")
+        m = sym.shape[-1] - width + 1
+        code = sym[..., :m]
+        for i in range(1, width):
+            code = code * q + sym[..., i:i + m]
+        rows = self._row_of_code[code]
+        if np.any(rows < 0):
+            raise KeyError("window missing from the generator table")
+        return rows
 
     @cached_property
     def table(self) -> Mapping[Word, np.ndarray]:
@@ -220,7 +182,7 @@ class LocallyConstantCocycle:
         """The values at the centres of a (W, 2r + 1) array of window words,
         r >= k, as one (W, d, d) stack: :meth:`at` for every row."""
         r, k = words.shape[1] // 2, self.window_radius
-        return self.stack[self.kernel.rows(words[:, r - k:r + k + 1])[:, 0]]
+        return self.stack[self.rows(words[:, r - k:r + k + 1])[:, 0]]
 
     def table_jsonable(self) -> dict:
         """Window radius and table, keyed by :func:`~cocyclib.sft.word_key`,
@@ -238,18 +200,46 @@ def evaluate(a: LocallyConstantCocycle, x: SymbolicPoint) -> np.ndarray:
 
 def _orbit_product(a: LocallyConstantCocycle, mats: np.ndarray,
                    x: SymbolicPoint, n: int) -> np.ndarray:
-    """Rows of ``mats`` (stacked like ``a.kernel.stack``) for the windows
-    along the orbit of x, left-multiplied onto the identity: the factors at
-    0, ..., n-1 for n >= 0 and at -1, ..., n, in that order, for n < 0."""
+    """Rows of ``mats`` (stacked like ``a.stack``) for the windows along the
+    orbit of x, left-multiplied onto the identity: the factors at 0, ...,
+    n-1 for n >= 0 and at -1, ..., n, in that order, for n < 0.  A single
+    point reads its windows through ``a.index``, cheaper than base-q codes."""
     if n == 0:
         return np.eye(a.dimension)
-    kern = a.kernel
+    index, width = a.index, 2 * a.window_radius + 1
     lo, hi = _orbit_span(a.window_radius, n)
     sym = x.window(lo, hi)  # window t is centred at lo + k + t
-    result = kern.identity
+    result = a._identity
     for t in (range(n) if n > 0 else range(-n - 1, -1, -1)):
-        result = mats[kern.index[sym[t:t + kern.width]]] @ result
+        result = mats[index[sym[t:t + width]]] @ result
     return result
+
+
+def _orbit_rows(a: LocallyConstantCocycle, words: np.ndarray, n: int) -> np.ndarray:
+    """(W, |n|) rows of ``a.stack`` of the factors of A^n over the rows of a
+    (W, 2r + 1) array of window words over coordinates -r..r, in product
+    order: the factor at t for n >= 0 and at -1 - t for n < 0.  At n = 0 no
+    window is read; otherwise r must cover the span of A^n."""
+    if not n:
+        return np.empty((len(words), 0), dtype=np.int64)
+    r = words.shape[1] // 2
+    lo, hi = _orbit_span(a.window_radius, n)
+    if lo < -r or hi > r:
+        raise ValueError(f"radius-{r} words miss coordinates {lo}..{hi} of A^{n}")
+    return a.rows(words[:, lo + r:hi + r + 1])[:, ::1 if n > 0 else -1]
+
+
+def _fold(mats: np.ndarray, rows: np.ndarray,
+          start: np.ndarray | None = None) -> np.ndarray:
+    """The B products mats[rows[b, n-1]] ... mats[rows[b, 0]] @ start.
+
+    ``start`` defaults to the identity, so each product is formed with the
+    same factors in the same order as :func:`iterate`.
+    """
+    prod = np.eye(mats.shape[-1])[None].repeat(len(rows), axis=0) if start is None else start
+    for t in range(rows.shape[1]):
+        prod = mats[rows[:, t]] @ prod
+    return prod
 
 
 def _finite(result: np.ndarray, n: int) -> np.ndarray:
@@ -262,9 +252,8 @@ def _finite(result: np.ndarray, n: int) -> np.ndarray:
 def iterate(a: LocallyConstantCocycle, x: SymbolicPoint, n: int) -> np.ndarray:
     """Orbit product A^n(x): forward product for n > 0, identity at 0, and
     the inverse-factor backward product for n < 0."""
-    kern = a.kernel
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_orbit_product(a, kern.stack if n >= 0 else kern.inverse, x, n), n)
+        return _finite(_orbit_product(a, a.stack if n >= 0 else a.inverse, x, n), n)
 
 
 def iterate_many(a: LocallyConstantCocycle, words: np.ndarray,
@@ -275,16 +264,9 @@ def iterate_many(a: LocallyConstantCocycle, words: np.ndarray,
     order, so it equals ``iterate(a, x, n)`` bit for bit, and it raises the
     same OverflowError.  At n = 0 no window is read; otherwise r must cover
     the span of A^n."""
-    kern = a.kernel
-    rows = np.empty((len(words), 0), dtype=np.int64)
-    if n:
-        r = words.shape[1] // 2
-        lo, hi = _orbit_span(a.window_radius, n)
-        if lo < -r or hi > r:
-            raise ValueError(f"radius-{r} words miss coordinates {lo}..{hi} of A^{n}")
-        rows = kern.rows(words[:, lo + r:hi + r + 1])[:, ::1 if n > 0 else -1]
+    rows = _orbit_rows(a, words, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(kern.fold(kern.stack if n >= 0 else kern.inverse, rows), n)
+        return _finite(_fold(a.stack if n >= 0 else a.inverse, rows), n)
 
 
 def inverse_cocycle(a: LocallyConstantCocycle) -> LocallyConstantCocycle:
@@ -304,7 +286,7 @@ def backward_product(inv: LocallyConstantCocycle, x: SymbolicPoint,
     inv(shift^-n x) ... inv(shift^-1 x), equal to iterate(a, x, -n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _orbit_product(inv, inv.kernel.stack, x, -n)
+    return _orbit_product(inv, inv.stack, x, -n)
 
 
 def coboundary_conjugate(a: LocallyConstantCocycle,

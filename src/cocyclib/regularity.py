@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycle import LocallyConstantCocycle, _finite, evaluate, iterate, iterate_many
+from .cocycle import (LocallyConstantCocycle, _fold, _orbit_rows, evaluate, iterate,
+                      iterate_many)
 from .holonomy import composed_holonomy
 from .linalg import Flag, Subspace, largest_principal_angle
 from .measure import MarkovMeasure, sample_point
@@ -97,7 +98,7 @@ def _word_products(a: LocallyConstantCocycle, mu: MarkovMeasure, length: int):
     product starts from the identity and left-multiplies the table entry of
     each complete window, as the per-word computation does.
     """
-    kern = a.kernel
+    width = 2 * a.window_radius + 1
     allowed = a.q.as_array.astype(bool)
     pi = mu.stationary_distribution
     p = mu.transition_probabilities
@@ -114,10 +115,10 @@ def _word_products(a: LocallyConstantCocycle, mu: MarkovMeasure, length: int):
             parent, sym = np.nonzero(allowed[tail[:, -1]])
             factor = p[tail[parent, -1], sym]
         weight = weight[parent] * factor
-        tail = np.column_stack([tail[parent, int(tail.shape[1] == kern.width):], sym])
+        tail = np.column_stack([tail[parent, int(tail.shape[1] == width):], sym])
         prod = prod[parent]
-        if tail.shape[1] == kern.width:
-            prod = kern.fold(kern.stack, kern.rows(tail), prod)
+        if tail.shape[1] == width:
+            prod = _fold(a.stack, a.rows(tail), prod)
         for lo in range(0, len(parent), _SUBTREE_PREFIXES):
             hi = lo + _SUBTREE_PREFIXES
             yield from walk(m + 1, tail[lo:hi], weight[lo:hi], prod[lo:hi])
@@ -198,14 +199,14 @@ def _log_distortions(prods: np.ndarray) -> list[float]:
 
 def _block_costs(a: LocallyConstantCocycle, x: SymbolicPoint, n_steps: int,
                  count: int, direction: int) -> list[float]:
-    """log distortion of the length-N block products along the orbit."""
-    kern = a.kernel
-    # block j holds the factors jN..jN+N-1 of A^(direction * count * N)
-    rows = kern.orbit_rows([x], direction * count * n_steps)[0].reshape(count, n_steps)
-    mats = kern.stack if direction > 0 else kern.inverse
-    with np.errstate(over="ignore", invalid="ignore"):
-        prods = kern.fold(mats, rows)
-    return _log_distortions(_finite(prods, direction * n_steps))
+    """log distortion of the length-N block products along the orbit: block
+    j is A^(direction N) at shift^(direction j N) x."""
+    n, r = direction * n_steps, n_steps + a.window_radius  # r covers A^N and A^-N
+    low = min(0, (count - 1) * n)  # least block centre
+    sym = np.array(x.window(low - r, low + (count - 1) * n_steps + r), dtype=np.int64)
+    # row j is the radius-r window of shift^(j n) x, centred at j n
+    offsets = np.arange(0, count * n, n)[:, None] - low + np.arange(2 * r + 1)
+    return _log_distortions(iterate_many(a, sym[offsets], n))
 
 
 def _prefix_condition(costs: Sequence[float], budget_per_block: float) -> bool:
@@ -270,27 +271,28 @@ def distortion_growth_slope(a: LocallyConstantCocycle, points: Sequence[Symbolic
     """Least-squares slope of mean log distortion against |n|, |n| <= n_max.
 
     Both time directions are folded into |n|; returns the fitted slope and
-    the per-|n| mean values.
+    the per-|n| mean values.  Raises ValueError for no points or n_max < 2.
     """
-    kern = a.kernel
+    if len(points) == 0:
+        raise ValueError("distortion slope needs at least one point")
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2: a slope needs two values of |n|")
     # The factors are the one-step products A(y) @ Id that iterate(a, y, 1)
     # returns, and their inverses; A @ Id does not keep the signed zeros of A.
-    steps = kern.fold(kern.stack, np.arange(len(kern.stack))[:, None])
+    steps = _fold(a.stack, np.arange(len(a.stack))[:, None])
     inv_steps = np.linalg.inv(steps)
-    fwd_rows = kern.orbit_rows(points, n_max)
-    bwd_rows = kern.orbit_rows(points, -n_max)
+    r = n_max + a.window_radius  # covers the spans of A^n_max and A^-n_max
+    words = np.array([x.window(-r, r) for x in points], dtype=np.int64)
+    fwd_rows, bwd_rows = (_orbit_rows(a, words, n) for n in (n_max, -n_max))
     sums = np.zeros(n_max)
     fwd = bwd = None
     for n in range(1, n_max + 1):
-        fwd = kern.fold(steps, fwd_rows[:, n - 1, None], fwd)
-        bwd = kern.fold(inv_steps, bwd_rows[:, n - 1, None], bwd)
+        fwd = _fold(steps, fwd_rows[:, n - 1, None], fwd)
+        bwd = _fold(inv_steps, bwd_rows[:, n - 1, None], bwd)
         for f, b in zip(_log_distortions(fwd), _log_distortions(bwd)):
             sums[n - 1] += f + b
-    counts = np.full(n_max, 2.0 * len(points))
-    means = sums / counts
-    ns = np.arange(1, n_max + 1, dtype=float)
-    slope = float(np.polyfit(ns, means, 1)[0])
-    return slope, means
+    means = sums / (2.0 * len(points))
+    return float(np.polyfit(np.arange(1, n_max + 1, dtype=float), means, 1)[0]), means
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,9 @@ def angle_experiment(a: LocallyConstantCocycle, flag: Flag, spec: ShadowSpec,
     growth = math.log(np.linalg.norm(ret_full, 2))
     member = None if params is None else bool(block_membership_periodic(a, p, params))
 
-    factors = a.kernel.stack[a.kernel.orbit_rows([pt], u_m)[0]]
+    k = a.window_radius
+    orbit = np.array(pt.window(-k, u_m - 1 + k), dtype=np.int64)
+    factors = a.stack_at(np.lib.stride_tricks.sliding_window_view(orbit, 2 * k + 1))
     for term_idx, term in enumerate(flag.proper_terms()):
         if term.dim == 0:
             continue

@@ -190,6 +190,19 @@ def test_reconstruct_from_cocycle_b_and_base_values():
     assert report["results"]["conjugacy"]["max_residual"] == 0.0
 
 
+# a window-0 table of 1x1 matrices on the 2-shift
+TABLE_1X1 = {"window_radius": 0, "table": {"0": [[1.0]], "1": [[2.0]]}}
+
+
+def _cocycle_b(table):
+    """A reconstruct config that gives B as this table, with seeds for a
+    2x2 cocycle, in place of a conjugator."""
+    def corrupt(cfg):
+        _base_values([EYE2, EYE2])(cfg)
+        cfg["experiment"]["cocycle_b"] = table
+    return corrupt
+
+
 def _setting(*keys, value):
     """A corruption that sets the value at a key path of the config."""
     def corrupt(cfg):
@@ -324,6 +337,20 @@ def _cone(key, value):
           ("nan", [EYE2, [["nan", 0.0], [0.0, 1.0]]]),
           ("zero", [EYE2, [[0.0, 0.0], [0.0, 0.0]]]),
       ]),
+    # a flag of R^2 has terms of dimension 1..2; -1 gave an empty check that
+    # passed, 5 an IndexError
+    pytest.param("shadow", _setting("experiment", "flag_dims", value=[-1, 2]),
+                 "$.experiment.flag_dims", id="shadow-flag_dims-negative"),
+    pytest.param("shadow", _setting("experiment", "flag_dims", value=[1, 5]),
+                 "$.experiment.flag_dims", id="shadow-flag_dims-above-dimension"),
+    # blocks, conjugator and B must act on R^2 like the cocycle
+    *(pytest.param(kind, _setting("descriptor", "block_dims", value=[1, 2]),
+                   "$.descriptor.block_dims", id=f"{kind}-block_dims-sum-3")
+      for kind in ("verify-zimmer", "reconstruct")),
+    pytest.param("reconstruct", _setting("experiment", "conjugator", value=TABLE_1X1),
+                 "$.experiment.conjugator", id="reconstruct-conjugator-1x1"),
+    pytest.param("reconstruct", _cocycle_b(TABLE_1X1), "$.experiment.cocycle_b",
+                 id="reconstruct-cocycle_b-1x1"),
 ])
 def test_malformed_value_exits_2_with_key_path(kind, corrupt, path, tmp_path, capsys):
     cfg = load(kind)

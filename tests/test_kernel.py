@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from cocyclib import regularity
 from cocyclib.cocycle import (
     LocallyConstantCocycle,
+    _orbit_rows,
     backward_product,
     evaluate,
     inverse_cocycle,
@@ -185,17 +186,17 @@ def test_backward_iterate_equals_inverse_factor_loop(n, n_symbols, radius, dim, 
 @example(n=-12, n_points=0, n_symbols=3, radius=1, dim=1, seed=0)
 def test_orbit_rows_equal_per_window_lookups(n, n_points, n_symbols, radius, dim, seed):
     mu, a, rng = random_system(n_symbols, radius, dim, seed)
-    kern = a.kernel
     points = [sample_point(mu, rng, int(rng.integers(1, 12)), start=int(rng.integers(-8, 3)))
               for _ in range(n_points)]
     # product order: the factors at 0, 1, ..., n-1, or at -1, -2, ..., n for n < 0
     centres = range(n) if n >= 0 else range(-1, n - 1, -1)
-    expected = [[kern.index[x.window(c - radius, c + radius)] for c in centres]
+    expected = [[a.index[x.window(c - radius, c + radius)] for c in centres]
                 for x in points]
-    got = kern.orbit_rows(points, n)
+    words = _words(points, abs(n) + radius)
+    got = _orbit_rows(a, words, n)
     assert got.shape == (n_points, abs(n))
     assert got.tolist() == expected
-    assert kern.orbit_rows([], n).shape == (0, abs(n))
+    assert _orbit_rows(a, words[:0], n).shape == (0, abs(n))
 
 
 def _random_points(mu, rng, count):
@@ -295,10 +296,10 @@ def test_orbit_products_return_fresh_arrays(q2, mu2, rng):
     x = sample_point(mu2, rng, 10)
     for n in (0, 1, -1, 3, -3):
         m = iterate(a, x, n)
-        assert m.flags.writeable and m is not a.kernel.identity
+        assert m.flags.writeable and m is not a._identity
         m[...] = 7.0
     assert same_bits(iterate(a, x, 0), np.eye(a.dimension))
-    assert same_bits(a.kernel.identity, np.eye(a.dimension))
+    assert same_bits(a._identity, np.eye(a.dimension))
 
 
 @settings(max_examples=30, deadline=None)
@@ -309,13 +310,13 @@ def test_kernel_inverts_its_stack_only_when_read_backwards(n, n_symbols, radius,
     points = _random_points(mu, rng, 3)
     words = _words(points, n + radius)
     a.stack_at(words)
-    assert "inverse" not in vars(a.kernel) and "index" not in vars(a.kernel)
+    assert "inverse" not in vars(a) and "index" not in vars(a)
     iterate_many(a, words, n)
     iterate(a, points[0], n)
-    assert "inverse" not in vars(a.kernel)
+    assert "inverse" not in vars(a)
     # built on the first backward product, from the same stack as before
     assert same_bits(iterate(a, points[0], -n), reference_product(a, points[0], -n))
-    assert same_bits(a.kernel.inverse, np.linalg.inv(a.stack))
+    assert same_bits(a.inverse, np.linalg.inv(a.stack))
     assert same_bits(iterate_many(a, words, -n),
                      [reference_product(a, x, -n) for x in points])
 

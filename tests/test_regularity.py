@@ -310,3 +310,17 @@ def test_distortion_slope_negative_control(q2, mu2, rng):
     pts = [sample_point(mu2, rng, 50) for _ in range(5)]
     slope, _ = distortion_growth_slope(a, pts, 20)
     assert slope == pytest.approx(2 * math.log(2), rel=1e-6)
+
+
+@pytest.mark.parametrize("n_points, n_max, match", [
+    (0, 20, "at least one point"),
+    (3, 1, "n_max must be >= 2"),
+    (3, 0, "n_max must be >= 2"),
+    (3, -4, "n_max must be >= 2"),
+])
+def test_distortion_slope_rejects_bad_input(q2, mu2, rng, n_points, n_max, match):
+    # a slope through one value of |n| (or none) is not a fit
+    a = mixed_hyperbolic_cocycle(q2)
+    pts = [sample_point(mu2, rng, 10) for _ in range(n_points)]
+    with pytest.raises(ValueError, match=match):
+        distortion_growth_slope(a, pts, n_max)
