@@ -21,15 +21,15 @@ import numpy as np
 
 from . import __version__
 from .cocycle import (
-    MAX_CONDITION,
     LocallyConstantCocycle,
+    _check_seeds,
     coboundary_conjugate,
     evaluate,
     iterate_many,
 )
 from .fixtures import unipotent_example
 from .holonomy import holonomy_stack
-from .linalg import ConeParams, Flag, Subspace, condition_number
+from .linalg import ConeParams, Flag, Subspace
 from .measure import MarkovMeasure, sample_point, sample_stable_partner, \
     sample_unstable_partner
 from .regularity import (
@@ -54,7 +54,7 @@ from .sft import (
     same_past,
     word_key,
 )
-from .shadow import ShadowSpec, angle_experiment, growth_measure
+from .shadow import FlagNotInvariantError, ShadowSpec, angle_experiment, growth_measure
 from .transfer import (
     conjugacy_residual,
     default_basepoints,
@@ -428,7 +428,10 @@ def _run_shadow(cfg, q, metric, exp, rng, budgets):
                               _value(exp, "$.experiment.cone_lambda", _real, 0.999),
                               _value(exp, "$.experiment.cone_epsilon", _NONNEGATIVE, 0.05),
                               _value(exp, "$.experiment.cone_delta", _POSITIVE, 0.3))
-        rep = angle_experiment(a, flag, specs[-1], cone, params=params, rng=rng)
+        try:
+            rep = angle_experiment(a, flag, specs[-1], cone, params=params, rng=rng)
+        except FlagNotInvariantError as exc:
+            raise ConfigError("$.experiment.flag_dims", str(exc)) from exc
         tables["angles"] = rep.angle_rows
         tables["projection_growth"] = rep.projection_rows
         results["u_m"] = rep.u_m
@@ -439,21 +442,6 @@ def _run_shadow(cfg, q, metric, exp, rng, budgets):
                              "shadow: transverse projection above closed-form bound",
                              passed=bound_ok))
     return results, tables, checks
-
-
-def _base_values(values: Any, n_symbols: int, dim: int) -> list[np.ndarray]:
-    """One finite, safely invertible d x d seed per symbol."""
-    if not isinstance(values, list) or len(values) != n_symbols:
-        raise ValueError(f"expected a list of {n_symbols} base values, one per symbol")
-    seeds = []
-    for i, v in enumerate(values):
-        m = np.array(v, dtype=float)
-        if m.shape != (dim, dim) or not np.isfinite(m).all():
-            raise ValueError(f"base value {i} is not a finite {dim}x{dim} matrix")
-        if condition_number(m) > MAX_CONDITION:
-            raise ValueError(f"base value {i} is not safely invertible")
-        seeds.append(m)
-    return seeds
 
 
 def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
@@ -474,7 +462,7 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
                           source=_value(exp, "$.experiment.cocycle_b", dict))
         _check_dimension("$.experiment.cocycle_b", b.dimension, a.dimension)
         base_values = _value(exp, "$.experiment.base_values",
-                             lambda vs: _base_values(vs, q.size, a.dimension))
+                             lambda vs: _check_seeds(vs, q.size, a.dimension))
     evaluator = superdiagonal_peel(a, b, desc, base_values, tol=tol)
     n_samples = min(_value(exp, "$.experiment.samples", _at_least(1), 500),
                     budgets["samples"])

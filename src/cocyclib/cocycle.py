@@ -46,19 +46,40 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_invertible(words, stack: np.ndarray) -> None:
-    """Raise at the first window of ``words`` (one per matrix of ``stack``)
-    whose matrix is not finite or not safely invertible."""
+def _check_invertible(values, dim: int, words=None) -> np.ndarray:
+    """``values`` as one (n, dim, dim) stack, checked.  Raises a ValueError
+    at the first entry that is not a finite, safely invertible dim x dim
+    matrix, naming it as the window ``words[i]`` or, without ``words``, as
+    base value i, the seed of symbol i of a transfer map."""
+    def where(i: int) -> str:
+        return f"base value {i}" if words is None else f"window {as_word(words[i])}"
+
+    if not (isinstance(values, np.ndarray) and values.shape[1:] == (dim, dim)):
+        values = [np.asarray(v, dtype=float) for v in values]
+        for i, m in enumerate(values):
+            if m.shape != (dim, dim):
+                raise ValueError(f"matrix at {where(i)} is not {dim}x{dim}")
+    stack = np.asarray(values, dtype=float)
     finite = np.isfinite(stack).all(axis=(1, 2))
-    s = np.linalg.svd(np.where(finite[:, None, None], stack, np.eye(stack.shape[-1])),
+    s = np.linalg.svd(np.where(finite[:, None, None], stack, np.eye(dim)),
                       compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = ~finite | (s[:, -1] <= 0) | (s[:, 0] / s[:, -1] > MAX_CONDITION)
     if bad.any():
         i = int(np.argmax(bad))
-        w = as_word(words[i])
-        raise ValueError(f"non-finite matrix at window {w}" if not finite[i]
-                         else f"matrix at window {w} is not safely invertible")
+        raise ValueError(f"non-finite matrix at {where(i)}" if not finite[i]
+                         else f"matrix at {where(i)} is not safely invertible")
+    return stack
+
+
+def _check_seeds(values, n_symbols: int, dim: int) -> np.ndarray:
+    """One seed per symbol, checked by :func:`_check_invertible`, as a stack."""
+    values = list(values)
+    if len(values) != n_symbols:
+        i = min(len(values), n_symbols)
+        raise ValueError(f"base value {i} is {'missing' if i == len(values) else 'extra'}"
+                         f": need one per symbol of {n_symbols}")
+    return _check_invertible(values, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +111,9 @@ class LocallyConstantCocycle:
         fixed = {as_word(w): np.array(m, dtype=float) for w, m in table.items()}
         if not fixed:
             raise ValueError("empty table")
-        dim = next(iter(fixed.values())).shape[0]
-        for w, m in fixed.items():
-            if m.shape != (dim, dim):
-                raise ValueError(f"inconsistent matrix shape at window {w}")
-        _check_invertible(list(fixed), np.array(list(fixed.values())))
+        # the first value's row count, at least 1, sets the dimension
+        dim = max(1, len(np.atleast_1d(next(iter(fixed.values())))))
+        _check_invertible(list(fixed.values()), dim, list(fixed))
         words = admissible_word_array(q, 2 * window_radius + 1)
         keys = list(map(tuple, words.tolist()))
         missing = [w for w in keys if w not in fixed]
@@ -173,14 +192,9 @@ class LocallyConstantCocycle:
         return MappingProxyType({w: _read_only(m.copy()) for w, m
                                  in zip(map(tuple, self.words.tolist()), self.stack)})
 
-    def at(self, word: Word) -> np.ndarray:
-        """Value at the centre of a window word of odd length >= 2k + 1."""
-        mid, k = len(word) // 2, self.window_radius
-        return self.table[word[mid - k: mid + k + 1]]
-
     def stack_at(self, words: np.ndarray) -> np.ndarray:
         """The values at the centres of a (W, 2r + 1) array of window words,
-        r >= k, as one (W, d, d) stack: :meth:`at` for every row."""
+        r >= k, as one (W, d, d) stack."""
         r, k = words.shape[1] // 2, self.window_radius
         return self.stack[self.rows(words[:, r - k:r + k + 1])[:, 0]]
 
@@ -303,7 +317,7 @@ def coboundary_conjugate(a: LocallyConstantCocycle,
     words = admissible_word_array(a.q, 2 * k + 1)
     # words[:, 2:] is centred at x_1
     values = u.stack_at(words[:, 2:]) @ a.stack_at(words) @ np.linalg.inv(u.stack_at(words))
-    _check_invertible(words, values)
+    _check_invertible(values, a.dimension, words)
     return LocallyConstantCocycle(a.q, k, a.dimension, words, values)
 
 

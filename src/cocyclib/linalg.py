@@ -66,10 +66,6 @@ class Subspace:
         return cls(orthonormal_basis(np.asarray(vectors, dtype=float)))
 
     @classmethod
-    def spanned_by(cls, *vectors) -> "Subspace":
-        return cls.from_spanning(np.column_stack([np.asarray(v, float) for v in vectors]))
-
-    @classmethod
     def standard(cls, d: int, indices: Sequence[int]) -> "Subspace":
         basis = np.zeros((d, len(indices)))
         for col, idx in enumerate(indices):
@@ -322,10 +318,6 @@ class GrowthBound:
     actual: float
     projected: float
     bound: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.actual >= self.bound and self.projected >= self.bound
 
 
 def cone_growth_bound(mats: Sequence[np.ndarray], v: np.ndarray,

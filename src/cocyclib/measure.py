@@ -131,10 +131,6 @@ class MarkovMeasure:
     def n_symbols(self) -> int:
         return self.support.size
 
-    def product_density(self, symbol: int) -> float:
-        """Local product-structure density on the cylinder [0; symbol]."""
-        return 1.0 / float(self.stationary_distribution[symbol])
-
 
 def uniform_bernoulli(n_symbols: int = 2) -> MarkovMeasure:
     p = np.full((n_symbols, n_symbols), 1.0 / n_symbols)

@@ -22,9 +22,9 @@ from .linalg import Flag, Subspace, largest_principal_angle
 from .measure import MarkovMeasure, sample_point
 from .sft import (
     DEFAULT_WORD_BUDGET,
-    BudgetExceededError,
     PeriodicPoint,
     SymbolicPoint,
+    _check_word_budget,
 )
 
 #: Absolute slack applied to the log-comparison S_s <= s N theta, so that
@@ -143,11 +143,8 @@ def finite_scale_exponent(a: LocallyConstantCocycle, mu: MarkovMeasure, n: int,
     _check_support(a, mu)
     k = a.window_radius
     length = n + 2 * k
-    if mu.n_symbols ** length > budget:
-        raise BudgetExceededError(
-            f"exact sum needs {mu.n_symbols}^{length} words; "
-            f"fall back to monte_carlo_exponent"
-        )
+    _check_word_budget(mu.n_symbols, length, budget,
+                       "; fall back to monte_carlo_exponent")
     total = 0.0
     for weights, prods in _word_products(a, mu, length):
         norms = np.linalg.svd(prods, compute_uv=False).max(axis=-1)
@@ -308,15 +305,6 @@ class FlagTransportReport:
     max_path_residual: float
     max_metric_residual: float
     membership_checked: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "max_equivariance_residual": self.max_equivariance_residual,
-            "max_path_residual": self.max_path_residual,
-            "max_metric_residual": self.max_metric_residual,
-            "membership_checked": self.membership_checked,
-            "n_points": len(self.flags),
-        }
 
 
 def _quotient_basis(flag: Flag, i: int) -> np.ndarray:

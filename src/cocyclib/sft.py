@@ -127,31 +127,6 @@ class TransitionMatrix:
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int64)
 
-    @cached_property
-    def mixing_constant(self) -> int:
-        """Least m >= 1 with Q^m entrywise positive (Wielandt-capped).
-
-        Raises for irreducible-but-periodic matrices, which admit no such m.
-        """
-        q = np.array(self.entries, dtype=bool)
-        power = q.copy()
-        cap = self.size * self.size
-        for m in range(1, cap + 1):
-            if power.all():
-                return m
-            power = (power @ q) > 0
-        raise ValueError(
-            "transition matrix is irreducible but not primitive; no power "
-            "is entrywise positive, so no mixing constant exists"
-        )
-
-    def is_primitive(self) -> bool:
-        try:
-            self.mixing_constant
-            return True
-        except ValueError:
-            return False
-
 
 def full_shift(n_symbols: int = 2) -> TransitionMatrix:
     """All-ones transition matrix (every transition allowed)."""
@@ -179,6 +154,18 @@ def is_cyclically_admissible(word: Sequence[int] | str, q: TransitionMatrix) -> 
     return is_admissible(w, q) and q.allows(w[-1], w[0])
 
 
+def _check_word_budget(n_symbols: int, length: int, budget: int,
+                       advice: str = "") -> None:
+    """Raise BudgetExceededError, its message ending in ``advice``, when the
+    n_symbols^length words of the full shift exceed ``budget``: the one
+    budget rule of every enumeration over words of that length."""
+    if n_symbols ** max(length, 1) > budget:
+        raise BudgetExceededError(
+            f"enumerating words of length {length} over {n_symbols} symbols "
+            f"exceeds the budget of {budget}{advice}"
+        )
+
+
 def admissible_word_array(q: TransitionMatrix, length: int,
                           budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """The (W, length) array of all admissible words of the given length, in
@@ -186,11 +173,7 @@ def admissible_word_array(q: TransitionMatrix, length: int,
     by its extensions through q, in symbol order."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if q.size ** max(length, 1) > budget:
-        raise BudgetExceededError(
-            f"enumerating words of length {length} over {q.size} symbols "
-            f"exceeds the budget of {budget}"
-        )
+    _check_word_budget(q.size, length, budget)
     words = np.arange(q.size)[:, None] if length else np.zeros((1, 0), dtype=np.int64)
     for _ in range(1, length):
         parent, sym = np.nonzero(q.as_array[words[:, -1]])

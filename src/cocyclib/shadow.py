@@ -193,14 +193,9 @@ class ShadowReport:
         if not self.j0 < self.j1 < self.u_m:
             raise ValueError("need j0 < j1 < u_m; increase m or shrink alpha")
 
-    def to_jsonable(self) -> dict:
-        return {
-            "m": self.m, "u_m": self.u_m, "growth": self.growth,
-            "block_params_passed": self.block_params_passed,
-            "j0": self.j0, "j1": self.j1,
-            "angle_rows": self.angle_rows,
-            "projection_rows": self.projection_rows,
-        }
+
+class FlagNotInvariantError(ValueError):
+    """A flag term is not invariant along the orbit of the shadow point."""
 
 
 def angle_experiment(a: LocallyConstantCocycle, flag: Flag, spec: ShadowSpec,
@@ -211,10 +206,10 @@ def angle_experiment(a: LocallyConstantCocycle, flag: Flag, spec: ShadowSpec,
     the transverse projection growth of the full return product.
 
     The flag must be invariant along the orbit of the shadow point (checked
-    against flag_tol).  Projection growth rows compare the measured
-    log norm of Pi_{E_i^perp}^{E_i} A^{u_m}(p^m) v against the closed-form
-    lower-bound exponent assembled from the cone parameters, the cocycle log
-    bound and the angle-decay calibration.
+    against flag_tol; FlagNotInvariantError otherwise).  Projection growth
+    rows compare the measured log norm of Pi_{E_i^perp}^{E_i} A^{u_m}(p^m) v
+    against the closed-form lower-bound exponent assembled from the cone
+    parameters, the cocycle log bound and the angle-decay calibration.
     """
     if rng is None:
         rng = np.random.default_rng(7)
@@ -236,7 +231,7 @@ def angle_experiment(a: LocallyConstantCocycle, flag: Flag, spec: ShadowSpec,
             mapped = term.map_by(factor)
             angle = largest_principal_angle(mapped, term)
             if angle > flag_tol:
-                raise ValueError(
+                raise FlagNotInvariantError(
                     f"flag term {term_idx} is not invariant at orbit step {j}: "
                     f"angle {angle:.3e} exceeds {flag_tol}"
                 )

@@ -30,15 +30,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cocycle import (
-    MAX_CONDITION,
     LocallyConstantCocycle,
+    _check_seeds,
     coboundary_conjugate,
     evaluate,
 )
 from .holonomy import holonomy_stack
-from .linalg import condition_number
 from .sft import (
-    BudgetExceededError,
     MetricParams,
     SymbolicPoint,
     TransitionMatrix,
@@ -98,10 +96,6 @@ class _Transport:
         # (kind, from, to)
         self.legs = ((kinds[0], base, mid), (kinds[1], mid, words))
 
-    def holonomies(self, a: LocallyConstantCocycle, leg) -> np.ndarray:
-        """The leg's holonomy of ``a`` at every window (:func:`holonomy_stack`)."""
-        return holonomy_stack(a, *leg)
-
     @classmethod
     def at(cls, transports: Sequence["TransferEvaluator"], x: SymbolicPoint,
            order: str) -> "_Transport":
@@ -120,18 +114,15 @@ class TransferEvaluator:
     cocycle_b: LocallyConstantCocycle
     basepoints: tuple[SymbolicPoint, ...]
     base_values: tuple[np.ndarray, ...]
-    rule: str = "holonomy-two-leg"
 
     def __post_init__(self):
         q = self.cocycle_a.q
-        if len(self.basepoints) != q.size or len(self.base_values) != q.size:
-            raise ValueError("need one basepoint and seed per symbol")
+        if len(self.basepoints) != q.size:
+            raise ValueError("need one basepoint per symbol")
         for i, w in enumerate(self.basepoints):
             if w[0] != i:
                 raise ValueError(f"basepoint {i} does not lie in the cylinder [0; {i}]")
-        for i, v in enumerate(self.base_values):
-            if condition_number(np.asarray(v)) > MAX_CONDITION:
-                raise ValueError(f"base value {i} is not safely invertible")
+        _check_seeds(self.base_values, q.size, self.cocycle_a.dimension)
 
     def evaluate(self, x: SymbolicPoint, order: str = "us") -> np.ndarray:
         """Two-leg transport of the seed at the basepoint sharing x_0: order
@@ -144,23 +135,9 @@ class TransferEvaluator:
         """The transported seeds at every window of ``paths``, as one stack."""
         value = np.array(self.base_values, dtype=float)[paths.symbols]
         for leg in paths.legs:
-            value = ((paths.holonomies(self.cocycle_a, leg) @ value)
-                     @ np.linalg.inv(paths.holonomies(self.cocycle_b, leg)))
+            value = ((holonomy_stack(self.cocycle_a, *leg) @ value)
+                     @ np.linalg.inv(holonomy_stack(self.cocycle_b, *leg)))
         return value
-
-    def to_jsonable(self) -> dict:
-        return {
-            "rule": self.rule,
-            "basepoints": [
-                {"left_period": list(w.left_period), "core": list(w.core),
-                 "right_period": list(w.right_period),
-                 "origin_offset": w.origin_offset}
-                for w in self.basepoints
-            ],
-            "base_values": [np.asarray(v).tolist() for v in self.base_values],
-            "cocycles": {"a": self.cocycle_a.table_jsonable(),
-                         "b": self.cocycle_b.table_jsonable()},
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +207,11 @@ def materialize(q: TransitionMatrix,
     ``func`` takes the (windows, 2 radius + 1) array of all window words,
     in lexicographic order, and returns their values as one
     (windows, dimension, dimension) stack.  A caller that already holds
-    that array passes it as ``words``.
+    that array passes it as ``words``; otherwise the enumeration raises
+    BudgetExceededError above ``budget`` words.
     """
-    if q.size ** (2 * radius + 1) > budget:
-        raise BudgetExceededError(
-            f"materializing a window-{radius} table exceeds the budget"
-        )
     if words is None:
-        words = admissible_word_array(q, 2 * radius + 1)
+        words = admissible_word_array(q, 2 * radius + 1, budget)
     return LocallyConstantCocycle(q, radius, dimension, words, func(words))
 
 
@@ -420,8 +394,7 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
     """
     if desc.exponent != 0.0:
         raise ValueError("descriptor exponent must be 0 (normalize first)")
-    if len(base_values) != a.q.size:
-        raise ValueError("need one base value per symbol")
+    base_values = _check_seeds(base_values, a.q.size, a.dimension)
     _check_membership(a, b, desc, membership_tol)
 
     basepoints = default_basepoints(a.q)
@@ -431,7 +404,7 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
     cond_scale = 1.0
 
     def remaining_seed(symbol: int) -> np.ndarray:
-        return np.asarray(base_values[symbol], float) @ np.linalg.inv(acc[symbol])
+        return base_values[symbol] @ np.linalg.inv(acc[symbol])
 
     def install_stage(stage, name: str, check_blocks) -> None:
         nonlocal b_current, cond_scale
@@ -475,8 +448,7 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
         b_t = block_cocycle(b_current, desc, t)
         seeds = tuple(desc.block(remaining_seed(s), t, t)
                       for s in range(a.q.size))
-        diag_evs.append(TransferEvaluator(a_t, b_t, basepoints, seeds,
-                                          rule="diagonal-block"))
+        diag_evs.append(TransferEvaluator(a_t, b_t, basepoints, seeds))
     install_stage(_DiagonalStage(desc, tuple(diag_evs)), "diagonal",
                   [(t, t) for t in range(desc.num_blocks)])
 
@@ -491,8 +463,7 @@ def superdiagonal_peel(a: LocallyConstantCocycle, b: LocallyConstantCocycle,
             di, dj = desc.block_dims[i], desc.block_dims[j]
             seeds = tuple(embed_corner(desc.block(remaining_seed(s), i, j), di, dj)
                           for s in range(a.q.size))
-            sub = TransferEvaluator(asub, bsub, basepoints, seeds,
-                                    rule="two-block-corner")
+            sub = TransferEvaluator(asub, bsub, basepoints, seeds)
             corners.append((i, CornerEvaluator(sub, di, dj, diag_tol=tol * cond_scale)))
         checked = checked + [(i, i + r) for i in range(desc.num_blocks - r)]
         install_stage(_OffsetStage(desc, r, tuple(corners)), f"offset-{r}", checked)

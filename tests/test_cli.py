@@ -343,6 +343,9 @@ def _cone(key, value):
                  "$.experiment.flag_dims", id="shadow-flag_dims-negative"),
     pytest.param("shadow", _setting("experiment", "flag_dims", value=[1, 5]),
                  "$.experiment.flag_dims", id="shadow-flag_dims-above-dimension"),
+    # a valid flag of R^2 that the rotations of the mixed cocycle do not keep
+    pytest.param("shadow", _setting("experiment", "flag_dims", value=[1, 2]),
+                 "$.experiment.flag_dims", id="shadow-flag_dims-not-invariant"),
     # blocks, conjugator and B must act on R^2 like the cocycle
     *(pytest.param(kind, _setting("descriptor", "block_dims", value=[1, 2]),
                    "$.descriptor.block_dims", id=f"{kind}-block_dims-sum-3")
@@ -351,6 +354,9 @@ def _cone(key, value):
                  "$.experiment.conjugator", id="reconstruct-conjugator-1x1"),
     pytest.param("reconstruct", _cocycle_b(TABLE_1X1), "$.experiment.cocycle_b",
                  id="reconstruct-cocycle_b-1x1"),
+    # table values are square matrices; scalars gave an IndexError
+    pytest.param("exponents", _setting("cocycle", "table", value={"0": 1.0, "1": 2.0}),
+                 "$.cocycle.table", id="exponents-table-scalars"),
 ])
 def test_malformed_value_exits_2_with_key_path(kind, corrupt, path, tmp_path, capsys):
     cfg = load(kind)

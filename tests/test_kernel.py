@@ -46,6 +46,7 @@ from cocyclib.regularity import (
 )
 from cocyclib.sft import (
     TransitionMatrix,
+    admissible_word_array,
     admissible_words,
     bracket,
     enumerate_periodic,
@@ -284,10 +285,11 @@ def test_iterate_many_equals_iterate_and_checks_the_span(n, extra, n_points, n_s
 
 @settings(max_examples=40, deadline=None)
 @given(extra=st.integers(0, 2), **systems)
-def test_at_reads_the_centred_window(extra, n_symbols, radius, dim, seed):
+def test_stack_at_reads_the_centred_window(extra, n_symbols, radius, dim, seed):
     _, a, _ = random_system(n_symbols, radius, dim, seed)
-    for w in admissible_words(a.q, 2 * (radius + extra) + 1):
-        assert a.at(w) is a.table[w[extra:extra + 2 * radius + 1]]
+    words = admissible_word_array(a.q, 2 * (radius + extra) + 1)
+    assert same_bits(a.stack_at(words), [a.table[w[extra:extra + 2 * radius + 1]]
+                                         for w in map(tuple, words.tolist())])
 
 
 def test_orbit_products_return_fresh_arrays(q2, mu2, rng):

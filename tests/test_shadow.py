@@ -19,6 +19,7 @@ from cocyclib.sft import (
     shift,
 )
 from cocyclib.shadow import (
+    FlagNotInvariantError,
     ShadowSpec,
     angle_experiment,
     block_times,
@@ -177,7 +178,7 @@ def test_angle_experiment_flag_invariance_gate(q2):
     a = mixed_hyperbolic_cocycle(q2)  # rotations break the coordinate flag
     flag = Flag((Subspace.standard(2, [0]), Subspace.standard(2, [0, 1])))
     spec = ShadowSpec(q2, fixed_point(q2, 0), fixed_point(q2, 1), 4, 2, 2)
-    with pytest.raises(ValueError, match="not invariant"):
+    with pytest.raises(FlagNotInvariantError, match="not invariant"):
         angle_experiment(a, flag, spec, CONE)
 
 

@@ -111,20 +111,27 @@ def reference_residuals(m, desc):
     return [operator_norm(x.T @ x - np.eye(x.shape[0])) for x in b], lower
 
 
+def centre(a, word):
+    """The value of the table a at the centre of a window word of odd length
+    >= 2k + 1."""
+    mid, k = len(word) // 2, a.window_radius
+    return a.table[word[mid - k:mid + k + 1]]
+
+
 def reference_block_difference(a, b, desc, blocks):
     radius = max(a.window_radius, b.window_radius)
     worst = 0.0
     for w in admissible_words(a.q, 2 * radius + 1):
         for i, j in blocks:
             worst = max(worst, float(np.max(np.abs(
-                desc.block(a.at(w), i, j) - desc.block(b.at(w), i, j)))))
+                desc.block(centre(a, w), i, j) - desc.block(centre(b, w), i, j)))))
     return worst
 
 
 def reference_conjugate(a, u):
     k = max(a.window_radius, u.window_radius + 1)
     return LocallyConstantCocycle.from_function(
-        a.q, k, lambda w: u.at(w[2:]) @ a.at(w) @ np.linalg.inv(u.at(w)))
+        a.q, k, lambda w: centre(u, w[2:]) @ centre(a, w) @ np.linalg.inv(centre(u, w)))
 
 
 def same_table(a, radius, table):

@@ -20,9 +20,10 @@ from cocyclib.fixtures import (
     rotation,
     unipotent_example,
 )
-from cocyclib.holonomy import stable_holonomy, unstable_holonomy
+from cocyclib.holonomy import holonomy_stack, stable_holonomy, unstable_holonomy
 from cocyclib.measure import golden_mean_markov, sample_point, uniform_bernoulli
 from cocyclib.sft import (
+    BudgetExceededError,
     MetricParams,
     admissible_words,
     bracket,
@@ -338,12 +339,48 @@ def test_peeled_evaluate_accepts_only_the_two_orders(q2, mu2, rng):
 
 def test_materialize_and_minimize(q2):
     a = mild_random_cocycle(q2, 0, seed=3)
-    table = materialize(q2, lambda words: np.array([a.at(tuple(w)) for w in words]), 2, 2)
+    table = materialize(q2, a.stack_at, 2, 2)
     assert table.window_radius == 2
     small = minimize_table(table)
     assert small.window_radius == 0
     for w, m in a.table.items():
         np.testing.assert_array_equal(small.table[w], m)
+
+
+# Seeds for the 2-shift in dimension 2 with one bad entry, and the message
+# that names it: every seed must be a finite, safely invertible 2x2 matrix.
+BAD_SEEDS = {
+    "nan": ([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]], "non-finite matrix at base value 1"),
+    "inf": ([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]], "non-finite matrix at base value 1"),
+    "zero": ([np.eye(2), np.zeros((2, 2))],
+             "matrix at base value 1 is not safely invertible"),
+    "condition-1e15": ([np.eye(2), np.diag([1.0, 1e-15])],
+                       "matrix at base value 1 is not safely invertible"),
+    "3x3": ([np.eye(2), np.eye(3)], "matrix at base value 1 is not 2x2"),
+    "one-seed": ([np.eye(2)], "base value 1 is missing"),
+    "three-seeds": ([np.eye(2)] * 3, "base value 2 is extra"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_SEEDS))
+def test_bad_seeds_fail_by_index(q2, name):
+    seeds, message = BAD_SEEDS[name]
+    fix = peel_fixture(seed=61, dims=(1, 1), conjugator_window=1)
+    with pytest.raises(ValueError) as err:
+        TransferEvaluator(fix.base, fix.result, default_basepoints(q2), tuple(seeds))
+    assert str(err.value).startswith(message)
+    # the whole seeds are checked before the peel multiplies or splits them
+    with pytest.raises(ValueError) as err:
+        superdiagonal_peel(fix.base, fix.result, DESC2, seeds)
+    assert str(err.value).startswith(message)
+
+
+def test_materialize_refuses_a_table_over_its_budget(q2):
+    a = mild_random_cocycle(q2, 0, seed=3)
+    # 2^5 windows at radius 2
+    assert materialize(q2, a.stack_at, 2, 2, budget=32).window_radius == 2
+    with pytest.raises(BudgetExceededError, match="budget of 31"):
+        materialize(q2, a.stack_at, 2, 2, budget=31)
 
 
 def test_evaluator_serialization_roundtrip(q2, mu2, rng):
@@ -366,18 +403,6 @@ def test_evaluator_serialization_roundtrip(q2, mu2, rng):
             k = t.window_radius
             value = t.table[x.window(-k, k)] @ value
         np.testing.assert_allclose(value, ev.evaluate(x), atol=1e-13)
-
-
-def test_plain_evaluator_serialization(q2):
-    ex = unipotent_example(q2)
-    bps = default_basepoints(q2)
-    ev = TransferEvaluator(ex.a, ex.b, bps,
-                           tuple(evaluate(ex.frame, w) for w in bps))
-    blob = ev.to_jsonable()
-    assert blob["rule"] == "holonomy-two-leg"
-    assert len(blob["basepoints"]) == 2 and len(blob["base_values"]) == 2
-    assert set(blob["cocycles"]) == {"a", "b"}
-
 
 def test_peel_with_nontrivial_diagonal_blocks(q2, mu2, rng):
     # the conjugacy has non-identity orthogonal diagonal blocks, so the
@@ -602,7 +627,7 @@ def test_batched_stages_equal_per_window_transport(seed, dims, window, golden):
                     assert same_bits([t.evaluate(x, order) for x in points], expected)
                     for cocycle in (t.cocycle_a, t.cocycle_b):
                         for leg, (holonomy, frm, to) in zip(paths.legs, legs):
-                            assert same_bits(paths.holonomies(cocycle, leg),
+                            assert same_bits(holonomy_stack(cocycle, *leg),
                                              [holonomy(cocycle, y, z).matrix
                                               for y, z in zip(frm, to)])
         assert same_bits([ev.evaluate(x, "su") for x in points], su)
