@@ -54,11 +54,18 @@ def _check_invertible(values, dim: int, words=None) -> np.ndarray:
     def where(i: int) -> str:
         return f"base value {i}" if words is None else f"window {as_word(words[i])}"
 
+    def square(i: int, value) -> np.ndarray:
+        # a ragged nested list fails the float conversion, not the shape test
+        try:
+            m = np.asarray(value, dtype=float)
+        except ValueError:
+            m = None
+        if m is None or m.shape != (dim, dim):
+            raise ValueError(f"matrix at {where(i)} is not {dim}x{dim}")
+        return m
+
     if not (isinstance(values, np.ndarray) and values.shape[1:] == (dim, dim)):
-        values = [np.asarray(v, dtype=float) for v in values]
-        for i, m in enumerate(values):
-            if m.shape != (dim, dim):
-                raise ValueError(f"matrix at {where(i)} is not {dim}x{dim}")
+        values = [square(i, v) for i, v in enumerate(values)]
     stack = np.asarray(values, dtype=float)
     finite = np.isfinite(stack).all(axis=(1, 2))
     s = np.linalg.svd(np.where(finite[:, None, None], stack, np.eye(dim)),
@@ -108,12 +115,16 @@ class LocallyConstantCocycle:
                    table: Mapping) -> "LocallyConstantCocycle":
         """Checked constructor from a window -> matrix mapping.  Entries at
         words that are not admissible windows are checked, not stored."""
-        fixed = {as_word(w): np.array(m, dtype=float) for w, m in table.items()}
-        if not fixed:
+        if not table:
             raise ValueError("empty table")
+        given = [as_word(w) for w in table]
+        values = list(table.values())
         # the first value's row count, at least 1, sets the dimension
-        dim = max(1, len(np.atleast_1d(next(iter(fixed.values())))))
-        _check_invertible(list(fixed.values()), dim, list(fixed))
+        try:
+            dim = max(1, len(values[0]))
+        except TypeError:  # a scalar
+            dim = 1
+        fixed = dict(zip(given, _check_invertible(values, dim, given)))
         words = admissible_word_array(q, 2 * window_radius + 1)
         keys = list(map(tuple, words.tolist()))
         missing = [w for w in keys if w not in fixed]
@@ -192,11 +203,16 @@ class LocallyConstantCocycle:
         return MappingProxyType({w: _read_only(m.copy()) for w, m
                                  in zip(map(tuple, self.words.tolist()), self.stack)})
 
+    def _centre_rows(self, words: np.ndarray) -> np.ndarray:
+        """Rows of ``stack`` at the centres of a (W, 2r + 1) array of window
+        words, r >= k."""
+        r, k = words.shape[1] // 2, self.window_radius
+        return self.rows(words[:, r - k:r + k + 1])[:, 0]
+
     def stack_at(self, words: np.ndarray) -> np.ndarray:
         """The values at the centres of a (W, 2r + 1) array of window words,
         r >= k, as one (W, d, d) stack."""
-        r, k = words.shape[1] // 2, self.window_radius
-        return self.stack[self.rows(words[:, r - k:r + k + 1])[:, 0]]
+        return self.stack[self._centre_rows(words)]
 
     def table_jsonable(self) -> dict:
         """Window radius and table, keyed by :func:`~cocyclib.sft.word_key`,
@@ -315,8 +331,10 @@ def coboundary_conjugate(a: LocallyConstantCocycle,
         raise ValueError("conjugator dimension does not match the cocycle")
     k = max(a.window_radius, u.window_radius + 1)
     words = admissible_word_array(a.q, 2 * k + 1)
-    # words[:, 2:] is centred at x_1
-    values = u.stack_at(words[:, 2:]) @ a.stack_at(words) @ np.linalg.inv(u.stack_at(words))
+    # words[:, 2:] is centred at x_1.  u(x)^{-1} is read from u's table
+    # inverted once, not cached: a peel conjugates by each stage table once
+    values = (u.stack_at(words[:, 2:]) @ a.stack_at(words)
+              @ np.linalg.inv(u.stack)[u._centre_rows(words)])
     _check_invertible(values, a.dimension, words)
     return LocallyConstantCocycle(a.q, k, a.dimension, words, values)
 

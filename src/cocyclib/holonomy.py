@@ -3,7 +3,8 @@
 For a window-k generator the defining limit lim (A^n(z))^{-1} A^n(y)
 stabilizes exactly at n = k because all factors beyond step k coincide
 along a common local stable set; every holonomy here is that finite
-product.
+product.  Over many leg ends a holonomy is computed once per distinct
+set of factor rows that it reads and gathered to the rest.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import LocallyConstantCocycle, iterate, iterate_many
+from .cocycle import LocallyConstantCocycle, _finite, _fold, _orbit_rows, iterate
 from .sft import SymbolicPoint, bracket, same_future, same_past
 
 
@@ -49,6 +50,39 @@ def unstable_holonomy(a: LocallyConstantCocycle, y: SymbolicPoint,
     return HolonomyMap(y, z, "unstable", matrix, k)
 
 
+def _row_codes(rows: np.ndarray, base: int) -> np.ndarray:
+    """One int64 code per row of ``rows``, whose entries lie in 0..base-1,
+    equal exactly for equal rows.  The code is read in base ``base``; before
+    it could pass 2**62 the codes so far are renumbered 0, 1, ... by value,
+    so no row width overflows."""
+    code = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every code so far is below it
+    for column in rows.T:
+        if bound > 2 ** 62 // base:
+            _, code = np.unique(code, return_inverse=True)
+            code, bound = code.ravel(), len(rows)
+        code = code * base + column
+        bound *= base
+    return code
+
+
+def _distinct_holonomies(a: LocallyConstantCocycle, kind: str, frm: np.ndarray,
+                         to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`holonomy_stack` as a (D, d, d) stack of its distinct entries
+    and the (W,) index of each row's entry in it, ``stack[index]``.  A
+    holonomy reads only the factor rows of A^{+-k} on its two ends, so the
+    rows of ``frm`` and ``to`` with the same factor rows share one solve."""
+    n = a.window_radius if kind == "stable" else -a.window_radius
+    rows = np.hstack([_orbit_rows(a, to, n), _orbit_rows(a, frm, n)])
+    _, first, index = np.unique(_row_codes(rows, len(a.words)),
+                                return_index=True, return_inverse=True)
+    mats, keys = a.stack if n >= 0 else a.inverse, rows[first]
+    with np.errstate(over="ignore", invalid="ignore"):
+        to_n, frm_n = (_finite(_fold(mats, end), n)
+                       for end in (keys[:, :abs(n)], keys[:, abs(n):]))
+    return np.linalg.solve(to_n, frm_n), index.ravel()
+
+
 def holonomy_stack(a: LocallyConstantCocycle, kind: str, frm: np.ndarray,
                    to: np.ndarray) -> np.ndarray:
     """The (W, d, d) stack of holonomies of ``a`` from each row of ``frm`` to
@@ -56,11 +90,11 @@ def holonomy_stack(a: LocallyConstantCocycle, kind: str, frm: np.ndarray,
     coordinates -r..r, with r >= 2k: solve(A^k(to), A^k(from)) on a
     ``"stable"`` leg and solve(A^{-k}(to), A^{-k}(from)) on an ``"unstable"``
     one.  Each entry equals the :func:`stable_holonomy` or
-    :func:`unstable_holonomy` matrix bit for bit.  The caller guarantees that
-    each pair lies on a common local stable or unstable set; it is not
-    checked here."""
-    n = a.window_radius if kind == "stable" else -a.window_radius
-    return np.linalg.solve(iterate_many(a, to, n), iterate_many(a, frm, n))
+    :func:`unstable_holonomy` matrix bit for bit; each distinct one is
+    solved once.  The caller guarantees that each pair lies on a common
+    local stable or unstable set; it is not checked here."""
+    stack, index = _distinct_holonomies(a, kind, frm, to)
+    return stack[index]
 
 
 def composed_holonomy(a: LocallyConstantCocycle, x: SymbolicPoint,

@@ -35,7 +35,7 @@ from .cocycle import (
     coboundary_conjugate,
     evaluate,
 )
-from .holonomy import holonomy_stack
+from .holonomy import _distinct_holonomies
 from .sft import (
     MetricParams,
     SymbolicPoint,
@@ -132,11 +132,13 @@ class TransferEvaluator:
         return self.tabulate(_Transport.at((self,), x, order))[0]
 
     def tabulate(self, paths: _Transport) -> np.ndarray:
-        """The transported seeds at every window of ``paths``, as one stack."""
+        """The transported seeds at every window of ``paths``, as one stack.
+        Each distinct B-holonomy of a leg is inverted once."""
         value = np.array(self.base_values, dtype=float)[paths.symbols]
         for leg in paths.legs:
-            value = ((holonomy_stack(self.cocycle_a, *leg) @ value)
-                     @ np.linalg.inv(holonomy_stack(self.cocycle_b, *leg)))
+            h_a, at_a = _distinct_holonomies(self.cocycle_a, *leg)
+            h_b, at_b = _distinct_holonomies(self.cocycle_b, *leg)
+            value = (h_a[at_a] @ value) @ np.linalg.inv(h_b)[at_b]
         return value
 
 

@@ -8,13 +8,16 @@ checks that each name was found, wrapped and put back.  Another runs a peel
 with and without the tracer: the tables must not change, and the tracer's
 ``transfer.materialize.windows`` must count every window the peel
 tabulated, which it does only while each stage, in both transport orders,
-goes through ``materialize``.
+goes through ``materialize``.  A third runs the benchmark's own self-test
+(``perfbench/selftest.py``, without its smoke runs), so that a library
+change that breaks the benchmark's checks or its tracer fails here.
 """
 
 import importlib
 import importlib.util
 import pathlib
 import pkgutil
+import subprocess
 import sys
 
 import numpy as np
@@ -93,3 +96,10 @@ def test_traced_peel_equals_untraced_and_counts_its_windows(monkeypatch):
     assert len(sizes) == desc.num_blocks + len(traced.su_tables)
     windows, _ = tracing.layer_metrics(tracer, 1)["transfer.materialize.windows"]
     assert windows == sum(sizes) > 0
+
+
+def test_benchmark_selftest_passes():
+    selftest = TRACING.parent / "selftest.py"
+    done = subprocess.run([sys.executable, str(selftest)], capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr[-3000:]

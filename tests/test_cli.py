@@ -334,6 +334,7 @@ def _cone(key, value):
           ("one-entry", [EYE2]),
           ("vector-entry", [[[1, 0], [0, 1]], [1, 2]]),
           ("3x3", [np.eye(3).tolist()] * 2),
+          ("ragged", [EYE2, [[1.0, 0.0], [0.0]]]),
           ("nan", [EYE2, [["nan", 0.0], [0.0, 1.0]]]),
           ("zero", [EYE2, [[0.0, 0.0], [0.0, 0.0]]]),
       ]),

@@ -35,6 +35,14 @@ def test_singular_value_rejected(q2):
             q2, 0, {(0,): np.eye(2), (1,): np.zeros((2, 2))})
 
 
+def test_ragged_value_named_by_its_window(q2):
+    # a ragged nested list fails numpy's float conversion; the error still
+    # names the window
+    with pytest.raises(ValueError, match=r"^matrix at window \(1,\) is not 2x2$"):
+        LocallyConstantCocycle.from_table(
+            q2, 0, {(0,): np.eye(2), (1,): [[1.0, 0.0], [0.0]]})
+
+
 def test_evaluate_constant_and_lookup(q2):
     const = LocallyConstantCocycle.constant(q2, np.diag([3.0, 1.0]))
     x = point(q2, "0", (0, 1, 0), "1", 1)

@@ -31,13 +31,21 @@ from cocyclib.fixtures import (
     unipotent_example,
     window2_cocycle,
 )
-from cocyclib.holonomy import holonomy_stack, stable_holonomy, unstable_holonomy
+from cocyclib.holonomy import (
+    _distinct_holonomies,
+    _row_codes,
+    holonomy_stack,
+    stable_holonomy,
+    unstable_holonomy,
+)
 from cocyclib.measure import (
     MarkovMeasure,
     cylinder_measure,
+    golden_mean_markov,
     sample_point,
     sample_stable_partner,
     sample_unstable_partner,
+    uniform_bernoulli,
 )
 from cocyclib.regularity import (
     _block_costs,
@@ -261,6 +269,67 @@ def test_holonomy_stack_equals_single_point_holonomies(kind, extra, n_points, de
     r = 2 * radius + extra
     got = holonomy_stack(a, kind, _words(frm, r), _words(to, r))
     assert same_bits(got, [single(a, y, z).matrix for y, z in zip(frm, to)])
+
+
+@pytest.mark.parametrize("system", ["2-shift", "golden-mean"])
+@pytest.mark.parametrize("kind", ["stable", "unstable"])
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_holonomy_stack_with_repeated_rows_equals_single_point_holonomies(system, kind,
+                                                                         radius):
+    # rows that repeat, or differ only outside the span a holonomy reads,
+    # share one solve, and each still equals its single-point holonomy
+    mu = uniform_bernoulli(2) if system == "2-shift" else golden_mean_markov()
+    gen = np.random.default_rng(radius)
+
+    def value(w):
+        m = gen.normal(size=(2, 2)) + 2.0 * np.eye(2)
+        m[0, 1] = -0.0
+        return m
+
+    a = LocallyConstantCocycle.from_function(mu.support, radius, value)
+    rng = np.random.default_rng((radius, len(kind)))
+    partner, single = ((sample_stable_partner, stable_holonomy) if kind == "stable"
+                       else (sample_unstable_partner, unstable_holonomy))
+    frm = _random_points(mu, rng, 6)
+    to = [partner(mu, x, rng, int(rng.integers(1, 6)), int(rng.integers(0, 3)))
+          for x in frm]
+    pick = rng.integers(0, 6, 40)
+    r = 2 * radius + 2
+    frm_w, to_w = _words(frm, r)[pick], _words(to, r)[pick]
+    assert len(_distinct_holonomies(a, kind, frm_w, to_w)[0]) <= 6
+    got = holonomy_stack(a, kind, frm_w, to_w)
+    assert same_bits(got, [single(a, frm[i], to[i]).matrix for i in pick])
+    assert same_bits(holonomy_stack(a, kind, frm_w[:0], to_w[:0]), np.empty((0, 2, 2)))
+
+
+@pytest.mark.parametrize("base", [3, 2 ** 20, 2 ** 40])
+def test_row_codes_are_equal_exactly_for_equal_rows(base):
+    # eight columns in base 2^20 or 2^40 would pass 2^63 unless renumbered
+    rows = np.random.default_rng(base).integers(0, 3, (60, 8))
+    rows[[40, 50]] = rows[[0, 1]]
+    rows[:, 0] = base - 1
+    _, expected = np.unique(rows, axis=0, return_inverse=True)
+    codes = _row_codes(rows, base)
+    assert (codes[:, None] == codes[None, :]).tolist() == \
+        (expected.ravel()[:, None] == expected.ravel()[None, :]).tolist()
+    assert _row_codes(rows[:, :0], base).tolist() == [0] * 60
+
+
+@pytest.mark.parametrize("kind, scale", [("stable", 1e200), ("unstable", 1e-200)])
+def test_holonomy_stack_with_repeated_rows_still_raises(q2, kind, scale):
+    # a repeated row whose orbit product overflows, or whose holonomy is
+    # singular, fails as it does alone
+    big = LocallyConstantCocycle.from_function(
+        q2, 2, lambda w: scale * np.eye(2) if w[2] else np.eye(2))
+    words = np.array([[0] * 9, [1] * 9, [1] * 9, [0] * 9])
+    with pytest.raises(OverflowError, match="exceeded floating point range"):
+        holonomy_stack(big, kind, words, words)
+    stack = np.tile(np.eye(2), (8, 1, 1))
+    stack[-1] = 0.0  # at the window (1, 1, 1), not checked on direct construction
+    singular = LocallyConstantCocycle(q2, 1, 2, admissible_word_array(q2, 3), stack)
+    words = np.array([[0] * 5, [1] * 5, [1] * 5])
+    with pytest.raises(np.linalg.LinAlgError):
+        holonomy_stack(singular, kind, words, words)
 
 
 @settings(max_examples=60, deadline=None)

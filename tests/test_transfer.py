@@ -357,6 +357,7 @@ BAD_SEEDS = {
     "condition-1e15": ([np.eye(2), np.diag([1.0, 1e-15])],
                        "matrix at base value 1 is not safely invertible"),
     "3x3": ([np.eye(2), np.eye(3)], "matrix at base value 1 is not 2x2"),
+    "ragged": ([np.eye(2), [[1.0, 0.0], [0.0]]], "matrix at base value 1 is not 2x2"),
     "one-seed": ([np.eye(2)], "base value 1 is missing"),
     "three-seeds": ([np.eye(2)] * 3, "base value 2 is extra"),
 }
@@ -631,6 +632,43 @@ def test_batched_stages_equal_per_window_transport(seed, dims, window, golden):
                                              [holonomy(cocycle, y, z).matrix
                                               for y, z in zip(frm, to)])
         assert same_bits([ev.evaluate(x, "su") for x in points], su)
+
+
+def _distinct_reads(c, kind, frm, to):
+    """How many distinct holonomies a leg of ``c`` takes over the rows of
+    ``frm`` and ``to``: a window-k holonomy reads coordinates -k..2k-1 of
+    both ends on a stable leg and -2k..k-1 on an unstable one."""
+    k, r = c.window_radius, frm.shape[1] // 2
+    if not k:
+        return min(1, len(frm))
+    lo, hi = (-k, 2 * k - 1) if kind == "stable" else (-2 * k, k - 1)
+    span = slice(lo + r, hi + r + 1)
+    return len(np.unique(np.hstack([frm[:, span], to[:, span]]), axis=0))
+
+
+def test_peel_solves_each_distinct_holonomy_once(monkeypatch):
+    fix = peel_fixture(seed=5, dims=(1, 1, 1, 1), conjugator_window=1)
+    seeds = [np.linalg.inv(evaluate(fix.conjugator, w))
+             for w in default_basepoints(fix.base.q)]
+    legs, solved = [], []
+    tabulate, solve = TransferEvaluator.tabulate, np.linalg.solve
+
+    def recorded_tabulate(self, paths):
+        legs.extend((c, *leg) for leg in paths.legs for c in (self.cocycle_a, self.cocycle_b))
+        return tabulate(self, paths)
+
+    def counted_solve(a, b):
+        solved.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(TransferEvaluator, "tabulate", recorded_tabulate)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    superdiagonal_peel(fix.base, fix.result, DESC4, seeds)
+    monkeypatch.undo()
+    distinct = sum(_distinct_reads(*leg) for leg in legs)
+    rows = sum(len(leg[2]) for leg in legs)
+    assert sum(solved) == distinct
+    assert distinct < rows / 10
 
 
 def test_corner_diagonal_check_trips_in_both_paths(q2):
