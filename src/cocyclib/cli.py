@@ -30,8 +30,7 @@ from .cocycle import (
 from .fixtures import unipotent_example
 from .holonomy import holonomy_stack
 from .linalg import ConeParams, Flag, Subspace
-from .measure import MarkovMeasure, sample_point, sample_stable_partner, \
-    sample_unstable_partner
+from .measure import MarkovMeasure, _draw_future, _draw_past, sample_points, sample_word
 from .regularity import (
     BlockParams,
     block_membership_finite,
@@ -46,12 +45,17 @@ from .sft import (
     BudgetExceededError,
     MetricParams,
     TransitionMatrix,
+    _check_cores,
+    _check_futures,
+    _check_pasts,
+    _closed,
+    _comparison_horizon,
+    _spliced_future,
+    _spliced_past,
     distance,
     enumerate_periodic,
     parse_word_key,
     periodic_point,
-    same_future,
-    same_past,
     word_key,
 )
 from .shadow import FlagNotInvariantError, ShadowSpec, angle_experiment, growth_measure
@@ -306,34 +310,61 @@ def _run_holonomy(cfg, q, metric, exp, rng, budgets):
     inter_n = _value(exp, "$.experiment.intertwine_n", _at_least(1), 10)
     tol = _value(exp, "$.experiment.tolerance", _NONNEGATIVE, 1e-12)
     lip_bound = _value(exp, "$.experiment.lipschitz_bound", _NONNEGATIVE, 1e6)
-    # Every draw first, in the order of a loop over pairs; then every
-    # holonomy and orbit product of all pairs at once.
-    draws = []
+    # Every symbol first, drawn in the order of a loop over pairs that calls
+    # sample_point(mu, rng, 12), sample_stable_partner twice and
+    # sample_unstable_partner, each partner with 6 fresh symbols; then the
+    # words and seams are checked as arrays and the points laid out as
+    # those samplers lay them out; then every holonomy and orbit product of
+    # all pairs at once.  x_0 is core[6], the centre of x's core.
+    cores, y_pasts, z_pasts, futures = [], [], [], []
     for _ in range(n_pairs):
-        x = sample_point(mu, rng, 12)
-        y = sample_stable_partner(mu, x, rng)
-        z = sample_stable_partner(mu, x, rng)
-        if not (same_future(x, y) and same_future(x, z) and same_future(y, z)):
-            raise ValueError("points do not lie on a common local stable set")
-        u = sample_unstable_partner(mu, x, rng)
-        if not same_past(x, u):
-            raise ValueError("points do not lie on a common local unstable set")
-        draws.append((x, y, z, u))
-    xs, ys, zs, us = zip(*draws)
+        core = sample_word(mu, rng, 12)
+        cores.append(core)
+        y_pasts.append(_draw_past(q, rng, core[6], 6))
+        z_pasts.append(_draw_past(q, rng, core[6], 6))
+        futures.append(_draw_future(mu, rng, core[6], 6))
+    core_rows = np.array(cores, dtype=np.int64)
+    x0 = core_rows[:, 6]
+    _check_cores(q, core_rows)
+    for pasts in (y_pasts, z_pasts):
+        _check_pasts(q, np.array(pasts, dtype=np.int64), x0)
+    _check_futures(q, x0, np.array(futures, dtype=np.int64))
+    xs = [_closed(q, core, 6) for core in cores]
+    ys, zs = ([_spliced_past(q, x, w) for x, w in zip(xs, pasts)]
+              for pasts in (y_pasts, z_pasts))
+    us = [_spliced_future(q, x, w) for x, w in zip(xs, futures)]
     k, n = a.window_radius, inter_n
+    # Two points agree at every coordinate >= 0 (<= 0) iff they agree on
+    # 0..t (-t..0) for any t at least their comparison horizon, so one span
+    # of the largest horizon of the pairs (x, y), (x, z) and (x, u) decides
+    # same_future and same_past for each; y and z then agree through x.
+    # One window per point covers that span and every coordinate read below.
+    t = max(_comparison_horizon(x, p) for x, y, z, u in zip(xs, ys, zs, us)
+            for p in (y, z, u))
+    lo, hi = -max(t, n + k, 2 * k), max(t, n + 2 * k, 2 * n + k)
+    x_w, y_w, z_w, u_w = (_windows(p, lo, hi) for p in (xs, ys, zs, us))
+
+    def span(w, first, last):
+        """Coordinates first..last of each point of a window array."""
+        return w[:, first - lo:last - lo + 1]
+
+    if not all(np.array_equal(span(x_w, 0, t), span(w, 0, t)) for w in (y_w, z_w)):
+        raise ValueError("points do not lie on a common local stable set")
+    if not np.array_equal(span(x_w, -t, 0), span(u_w, -t, 0)):
+        raise ValueError("points do not lie on a common local unstable set")
     eye = np.eye(a.dimension)
     # a holonomy leg reads coordinates -2k..2k of its ends
-    x_w, y_w, z_w, u_w = (_windows(p, -2 * k, 2 * k) for p in (xs, ys, zs, us))
-    h_xy = holonomy_stack(a, "stable", x_w, y_w)
-    chain_s = np.abs(holonomy_stack(a, "stable", y_w, z_w) @ h_xy
-                     - holonomy_stack(a, "stable", x_w, z_w)).max(axis=(1, 2))
-    chain_u = np.abs(holonomy_stack(a, "unstable", u_w, x_w)
-                     @ holonomy_stack(a, "unstable", x_w, u_w) - eye).max(axis=(1, 2))
+    x_l, y_l, z_l, u_l = (span(w, -2 * k, 2 * k) for w in (x_w, y_w, z_w, u_w))
+    h_xy = holonomy_stack(a, "stable", x_l, y_l)
+    chain_s = np.abs(holonomy_stack(a, "stable", y_l, z_l) @ h_xy
+                     - holonomy_stack(a, "stable", x_l, z_l)).max(axis=(1, 2))
+    chain_u = np.abs(holonomy_stack(a, "unstable", u_l, x_l)
+                     @ holonomy_stack(a, "unstable", x_l, u_l) - eye).max(axis=(1, 2))
     # h_xy = A^{-n}(shift^n y) H(shift^n x, shift^n y) A^n(x)
-    h_n = holonomy_stack(a, "stable", _windows(xs, n - 2 * k, n + 2 * k),
-                         _windows(ys, n - 2 * k, n + 2 * k))
-    lhs = (iterate_many(a, _windows(ys, -k, 2 * n + k), -n) @ h_n
-           @ iterate_many(a, _windows(xs, -n - k, n + k), n))
+    h_n = holonomy_stack(a, "stable", span(x_w, n - 2 * k, n + 2 * k),
+                         span(y_w, n - 2 * k, n + 2 * k))
+    lhs = (iterate_many(a, span(y_w, -k, 2 * n + k), -n) @ h_n
+           @ iterate_many(a, span(x_w, -n - k, n + k), n))
     inter = np.abs(h_xy - lhs).max(axis=(1, 2))
     dists = np.array([distance(x, y, metric) for x, y in zip(xs, ys)])
     near = dists > 0
@@ -383,8 +414,7 @@ def _run_blocks(cfg, q, metric, exp, rng, budgets):
                         _list_of(lambda v: type(v) in (int, float) and 0 < v < math.inf,
                                  "positive numbers"),
                         [0.25, 0.5, 1.0, 2.0, 4.0])
-    for idx in range(n_probe):
-        x = sample_point(mu, rng, 16)
+    for idx, x in enumerate(sample_points(mu, rng, n_probe, 16)):
         found = smallest_passing_params(a, x, grid_n, grid_theta, s_max)
         probe_rows.append({"point": idx,
                            "n_star": None if found is None else found[0],
@@ -466,7 +496,7 @@ def _run_reconstruct(cfg, q, metric, exp, rng, budgets):
     evaluator = superdiagonal_peel(a, b, desc, base_values, tol=tol)
     n_samples = min(_value(exp, "$.experiment.samples", _at_least(1), 500),
                     budgets["samples"])
-    samples = [sample_point(mu, rng, 14) for _ in range(n_samples)]
+    samples = sample_points(mu, rng, n_samples, 14)
     report = verify_conjugacy(a, b, evaluator, samples, tol=tol, metric=metric)
     path_gap = max(float(np.max(np.abs(
         evaluator.evaluate(s, "us") - evaluator.evaluate(s, "su"))))
@@ -540,8 +570,7 @@ def _run_example_unipotent(cfg, q, metric, exp, rng, budgets):
     basepoints = default_basepoints(q)
     base_values = [evaluate(ex.frame, w) for w in basepoints]
     evaluator = superdiagonal_peel(ex.a, ex.b, desc, base_values, tol=1e-10)
-    samples = [sample_point(mu, rng, 12)
-               for _ in range(min(300, budgets["samples"]))]
+    samples = sample_points(mu, rng, min(300, budgets["samples"]), 12)
     worst = max(conjugacy_residual(ex.a, ex.b, evaluator, s) for s in samples)
     results = {"frame_parameter": "phi(x) = x_0",
                "reconstruction_residual": worst}

@@ -11,7 +11,10 @@ generator and returns the index found by ``bisect_right`` in the normalised
 CDF of its row (``cumsum(p) / cumsum(p)[-1]``); a word draws its doubles as
 one ``rng.random(length)`` block.  This is what ``Generator.choice(n, p=p)``
 does, so the words and the generator state after every call are those of one
-``choice`` call per symbol.  Uniform predecessors are drawn with
+``choice`` call per symbol.  A batch of ``count`` points draws its cores as
+one ``rng.random(count * core_length)`` block, the same doubles as the
+``count`` per-call blocks, so it gives the points and the generator state of
+``count`` calls of :func:`sample_point`.  Uniform predecessors are drawn with
 ``rng.integers(0, k)``, as ``Generator.choice`` does for a list of k.
 ``tests/test_measure.py::test_samplers_match_rng_choice`` and
 ``test_samplers_match_rng_choice_on_cdf_boundaries`` pin this contract.
@@ -30,8 +33,10 @@ from .sft import (
     SymbolicPoint,
     TransitionMatrix,
     Word,
+    _check_cores,
+    _closed,
     as_word,
-    close_word,
+    is_admissible,
     splice_future,
     splice_past,
 )
@@ -108,11 +113,12 @@ class MarkovMeasure:
             raise ValueError("support differs from the positive entries of P")
 
     @cached_property
-    def cdfs(self) -> tuple[list[float], list[list[float]]]:
-        """Normalised CDFs of pi and of each row of P, as searched by
-        the samplers."""
-        return (_normalised_cdf(self.stationary_distribution),
-                [_normalised_cdf(row) for row in self.transition_probabilities])
+    def cdfs(self) -> list[list[float]]:
+        """Normalised CDFs as searched by the samplers: entry s < n is the
+        CDF of row s of P, and entry n that of pi, the law of a first
+        symbol.  A walk from the state n is thus a stationary word."""
+        return ([_normalised_cdf(row) for row in self.transition_probabilities]
+                + [_normalised_cdf(self.stationary_distribution)])
 
     @classmethod
     def from_matrix(cls, p, pi=None) -> "MarkovMeasure":
@@ -145,17 +151,47 @@ def cylinder_measure(mu: MarkovMeasure, m: int, word: Sequence[int] | str) -> fl
     """Measure of the cylinder fixing `word` starting at coordinate m.
 
     Shift invariance makes the value independent of m; inadmissible words
-    get measure zero.
+    get measure zero, and a symbol outside [0, n) raises ValueError.
     """
     w = as_word(word)
     if not w:
         return 1.0
+    if not is_admissible(w, mu.support):
+        return 0.0
     pi = mu.stationary_distribution
     p = mu.transition_probabilities
     value = float(pi[w[0]])
     for a, b in zip(w, w[1:]):
         value *= float(p[a, b])
     return value
+
+
+def _walk(cdfs: list[list[float]], last: int, u: list[float]) -> list[int]:
+    """The chain's steps from state `last`, one double of u per step, each
+    the ``bisect_right`` of the double in the CDF of the current state."""
+    out = []
+    for v in u:
+        last = bisect_right(cdfs[last], v)
+        out.append(last)
+    return out
+
+
+def _draw_past(q: TransitionMatrix, rng: np.random.Generator, last: int,
+               length: int) -> Word:
+    """`length` symbols drawn backwards from `last`, each uniform among the
+    predecessors of the one after it, one ``rng.integers(0, k)`` per step."""
+    fresh: list[int] = []
+    for _ in range(length):
+        preds = q.predecessors[last]
+        last = preds[rng.integers(0, len(preds))]
+        fresh.append(last)
+    return tuple(reversed(fresh))
+
+
+def _draw_future(mu: MarkovMeasure, rng: np.random.Generator, last: int,
+                 length: int) -> Word:
+    """`length` chain steps from `last`, drawn as one ``rng.random`` block."""
+    return tuple(_walk(mu.cdfs, last, rng.random(length).tolist()))
 
 
 def sample_word(mu: MarkovMeasure, rng: np.random.Generator, length: int) -> Word:
@@ -167,14 +203,39 @@ def sample_word(mu: MarkovMeasure, rng: np.random.Generator, length: int) -> Wor
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    pi_cdf, row_cdfs = mu.cdfs
-    u = rng.random(length).tolist()
-    s = bisect_right(pi_cdf, u[0])
-    out = [s]
-    for v in u[1:]:
-        s = bisect_right(row_cdfs[s], v)
-        out.append(s)
-    return tuple(out)
+    return _draw_future(mu, rng, mu.n_symbols, length)
+
+
+def _sample_cores(mu: MarkovMeasure, rng: np.random.Generator, count: int,
+                  core_length: int) -> np.ndarray:
+    """The (count, core_length) array of the cores of :func:`sample_points`,
+    drawn from one ``rng.random(count * core_length)`` block and checked as
+    one array."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if core_length < 1:
+        raise ValueError("length must be >= 1")
+    cdfs, n = mu.cdfs, mu.n_symbols
+    u = rng.random(count * core_length).tolist()
+    cores = np.array([_walk(cdfs, n, u[i:i + core_length])
+                      for i in range(0, count * core_length, core_length)],
+                     dtype=np.int64)
+    _check_cores(mu.support, cores)
+    return cores
+
+
+def sample_points(mu: MarkovMeasure, rng: np.random.Generator, count: int,
+                  core_length: int, start: int | None = None) -> list[SymbolicPoint]:
+    """`count` points as :func:`sample_point` draws them, from one block.
+
+    The points, their layouts and the generator state afterwards are those
+    of `count` calls of :func:`sample_point` with the same arguments.
+    """
+    cores = _sample_cores(mu, rng, count, core_length)
+    if start is None:
+        start = -(core_length // 2)
+    q = mu.support
+    return [_closed(q, tuple(w), -start) for w in cores.tolist()]
 
 
 def sample_point(mu: MarkovMeasure, rng: np.random.Generator, core_length: int,
@@ -186,10 +247,7 @@ def sample_point(mu: MarkovMeasure, rng: np.random.Generator, core_length: int,
     window statistics over the core are mu-distributed while the point stays
     inside the computable class.
     """
-    w = sample_word(mu, rng, core_length)
-    if start is None:
-        start = -(core_length // 2)
-    return close_word(mu.support, w, origin_offset=-start)
+    return sample_points(mu, rng, 1, core_length, start)[0]
 
 
 def sample_stable_partner(mu: MarkovMeasure, x: SymbolicPoint,
@@ -202,15 +260,9 @@ def sample_stable_partner(mu: MarkovMeasure, x: SymbolicPoint,
     uniformly among admissible ones, one ``rng.integers(0, k)`` per step,
     as ``rng.choice`` of the list of k predecessors draws.
     """
-    q = mu.support
     kept = x.window(-keep_depth, -1)
-    last = kept[0] if kept else x[0]
-    fresh: list[int] = []
-    for _ in range(past_length):
-        preds = q.predecessors[last]
-        last = preds[rng.integers(0, len(preds))]
-        fresh.insert(0, last)
-    return splice_past(q, x, tuple(fresh) + kept)
+    fresh = _draw_past(mu.support, rng, kept[0] if kept else x[0], past_length)
+    return splice_past(mu.support, x, fresh + kept)
 
 
 def sample_unstable_partner(mu: MarkovMeasure, x: SymbolicPoint,
@@ -221,12 +273,6 @@ def sample_unstable_partner(mu: MarkovMeasure, x: SymbolicPoint,
     Coordinates 1..keep_depth are copied from x; the future after them is
     drawn from the chain as in :func:`sample_word`, one double per step.
     """
-    q = mu.support
-    row_cdfs = mu.cdfs[1]
     kept = x.window(1, keep_depth)
-    last = kept[-1] if kept else x[0]
-    fresh: list[int] = []
-    for v in rng.random(future_length).tolist():
-        last = bisect_right(row_cdfs[last], v)
-        fresh.append(last)
-    return splice_future(q, x, kept + tuple(fresh))
+    fresh = _draw_future(mu, rng, kept[-1] if kept else x[0], future_length)
+    return splice_future(mu.support, x, kept + fresh)

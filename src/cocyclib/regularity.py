@@ -19,7 +19,7 @@ from .cocycle import (LocallyConstantCocycle, _fold, _orbit_rows, evaluate, iter
                       iterate_many)
 from .holonomy import composed_holonomy
 from .linalg import Flag, Subspace, largest_principal_angle
-from .measure import MarkovMeasure, sample_point
+from .measure import MarkovMeasure, _sample_cores
 from .sft import (
     DEFAULT_WORD_BUDGET,
     PeriodicPoint,
@@ -161,9 +161,12 @@ def monte_carlo_exponent(a: LocallyConstantCocycle, mu: MarkovMeasure, n: int,
 
     The lambda_- leg uses the backward product A^{-n}, so both estimators
     are unbiased for the n-scale integrals by shift invariance of the
-    measure.  All points are drawn first, one :func:`sample_point` call per
-    trial as a per-trial loop would make them, so the generator stream is
-    unchanged; A^n and A^{-n} are then formed for all trials at once.
+    measure.  Trial t reads the window -r..r (r = n + window radius) of the
+    t-th of ``trials`` calls of ``sample_point(mu, rng, 2 r, start=-r)``.
+    The cores are drawn as one block, as :func:`sample_points` draws them,
+    so the generator stream is a per-trial loop's.  No point is built: the
+    window is the core and the first symbol of its right tail.  A^n and
+    A^{-n} are then formed for all trials at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -171,8 +174,9 @@ def monte_carlo_exponent(a: LocallyConstantCocycle, mu: MarkovMeasure, n: int,
         raise ValueError("trials must be >= 1")
     _check_support(a, mu)
     r = n + a.window_radius
-    words = np.array([sample_point(mu, rng, 2 * r, start=-r).window(-r, r)
-                      for _ in range(trials)], dtype=np.int64)
+    cores = _sample_cores(mu, rng, trials, 2 * r)
+    first_right = np.array([right[0] for _, right in mu.support.return_tails])
+    words = np.column_stack([cores, first_right[cores[:, -1]]])
     # the operator 2-norm, as np.linalg.norm(., 2) computes it per matrix
     plus, minus = (np.array([math.log(v) / n for v in np.linalg.svd(
         iterate_many(a, words, m), compute_uv=False).max(axis=-1).tolist()])

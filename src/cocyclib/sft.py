@@ -127,6 +127,18 @@ class TransitionMatrix:
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int64)
 
+    @cached_property
+    def return_tails(self) -> tuple[tuple[Word, Word], ...]:
+        """return_tails[s]: the tails that close a word at symbol s, as
+        (left, right) periods.  Both are the shortest return cycle through
+        s, rotated so the cycle's closing edge lands on the seam: the left
+        one ends just before s, the right one starts just after it."""
+        tails = []
+        for s in range(self.size):
+            cycle = shortest_return_cycle(self, s)
+            tails.append((cycle, cycle[1:] + cycle[:1]))
+        return tuple(tails)
+
 
 def full_shift(n_symbols: int = 2) -> TransitionMatrix:
     """All-ones transition matrix (every transition allowed)."""
@@ -449,24 +461,72 @@ def shortest_return_cycle(q: TransitionMatrix, symbol: int) -> Word:
     raise ValueError(f"no return cycle through symbol {symbol}")
 
 
+_CORE_NOT_ADMISSIBLE = "core word is not admissible"
+_PAST_NOT_ADMISSIBLE = "past word does not connect admissibly into x"
+_FUTURE_NOT_ADMISSIBLE = "future word does not connect admissibly out of x"
+
+
+def _check_rows(q: TransitionMatrix, rows: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) unless every row of the (count, length)
+    array of in-range symbols is an admissible word: the check of
+    :func:`close_word`, :func:`splice_past` or :func:`splice_future` for a
+    batch, with the seam symbol as the row's last or first column."""
+    if not q.as_array[rows[:, :-1], rows[:, 1:]].all():
+        raise ValueError(message)
+
+
+def _check_cores(q: TransitionMatrix, cores: np.ndarray) -> None:
+    """:func:`close_word`'s check over a (count, length) array of cores."""
+    _check_rows(q, cores, _CORE_NOT_ADMISSIBLE)
+
+
+def _check_pasts(q: TransitionMatrix, pasts: np.ndarray, x0: np.ndarray) -> None:
+    """:func:`splice_past`'s check over a (count, length) array of pasts,
+    row i spliced onto a point with zero coordinate x0[i]."""
+    _check_rows(q, np.column_stack([pasts, x0]), _PAST_NOT_ADMISSIBLE)
+
+
+def _check_futures(q: TransitionMatrix, x0: np.ndarray, futures: np.ndarray) -> None:
+    """:func:`splice_future`'s check over a (count, length) array of futures,
+    row i spliced onto a point with zero coordinate x0[i]."""
+    _check_rows(q, np.column_stack([x0, futures]), _FUTURE_NOT_ADMISSIBLE)
+
+
+def _closed(q: TransitionMatrix, w: Word, origin_offset: int) -> SymbolicPoint:
+    """:func:`close_word` without its check."""
+    return SymbolicPoint(q.return_tails[w[0]][0], w, q.return_tails[w[-1]][1],
+                         origin_offset)
+
+
+def _spliced_past(q: TransitionMatrix, x: SymbolicPoint, w: Word) -> SymbolicPoint:
+    """:func:`splice_past` without its check."""
+    t = max(0, x.right_tail_start)
+    future = x.window(0, t - 1)
+    right = x.window(t, t + len(x.right_period) - 1)
+    return SymbolicPoint(q.return_tails[w[0]][0], w + future, right, len(w))
+
+
+def _spliced_future(q: TransitionMatrix, x: SymbolicPoint, w: Word) -> SymbolicPoint:
+    """:func:`splice_future` without its check."""
+    t = max(0, -x.left_tail_end)
+    past = x.window(-t, 0)
+    left = x.window(-t - len(x.left_period), -t - 1)
+    return SymbolicPoint(left, past + w, q.return_tails[w[-1]][1], t)
+
+
 def close_word(q: TransitionMatrix, core: Sequence[int] | str,
                origin_offset: int = 0) -> SymbolicPoint:
     """Close a finite admissible word into an eventually periodic point.
 
-    The word occupies layout indices [0, len(core)); both tails are the
-    shortest admissible return cycles through the end symbols.
+    The word occupies layout indices [0, len(core)); the tails are
+    ``q.return_tails`` of its end symbols.
     """
     w = as_word(core)
     if not w:
         raise ValueError("cannot close an empty word")
     if not is_admissible(w, q):
-        raise ValueError("core word is not admissible")
-    left_cycle = shortest_return_cycle(q, w[0])
-    # Rotate so the cycle's closing edge lands on the seam into the core.
-    left = left_cycle
-    right_cycle = shortest_return_cycle(q, w[-1])
-    right = right_cycle[1:] + (right_cycle[0],)
-    return SymbolicPoint(left, w, right, origin_offset)
+        raise ValueError(_CORE_NOT_ADMISSIBLE)
+    return _closed(q, w, origin_offset)
 
 
 def splice_past(q: TransitionMatrix, x: SymbolicPoint,
@@ -477,12 +537,8 @@ def splice_past(q: TransitionMatrix, x: SymbolicPoint,
     if not w:
         raise ValueError("past word must be nonempty")
     if not is_admissible(w, q) or not q.allows(w[-1], x[0]):
-        raise ValueError("past word does not connect admissibly into x")
-    t = max(0, x.right_tail_start)
-    future = x.window(0, t - 1)
-    right = x.window(t, t + len(x.right_period) - 1)
-    left = shortest_return_cycle(q, w[0])
-    return SymbolicPoint(left, w + future, right, len(w))
+        raise ValueError(_PAST_NOT_ADMISSIBLE)
+    return _spliced_past(q, x, w)
 
 
 def splice_future(q: TransitionMatrix, x: SymbolicPoint,
@@ -493,10 +549,5 @@ def splice_future(q: TransitionMatrix, x: SymbolicPoint,
     if not w:
         raise ValueError("future word must be nonempty")
     if not is_admissible(w, q) or not q.allows(x[0], w[0]):
-        raise ValueError("future word does not connect admissibly out of x")
-    t = max(0, -x.left_tail_end)
-    past = x.window(-t, 0)
-    left = x.window(-t - len(x.left_period), -t - 1)
-    cyc = shortest_return_cycle(q, w[-1])
-    right = cyc[1:] + (cyc[0],)
-    return SymbolicPoint(left, past + w, right, t)
+        raise ValueError(_FUTURE_NOT_ADMISSIBLE)
+    return _spliced_future(q, x, w)

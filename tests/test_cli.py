@@ -12,9 +12,9 @@ from cocyclib.cli import ConfigError, build_cocycle, emit, load_config, main, ru
 from cocyclib.cocycle import LocallyConstantCocycle, iterate
 from cocyclib.fixtures import mild_random_cocycle, mixed_hyperbolic_cocycle
 from cocyclib.holonomy import stable_holonomy, unstable_holonomy
-from cocyclib.measure import golden_mean_markov, sample_point, sample_stable_partner, \
-    sample_unstable_partner
-from cocyclib.sft import distance, full_shift, golden_mean_shift
+from cocyclib.measure import golden_mean_markov, sample_point, sample_points, \
+    sample_stable_partner, sample_unstable_partner, sample_word
+from cocyclib.sft import close_word, distance, full_shift, golden_mean_shift
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -537,3 +537,34 @@ def test_holonomy_report_equals_per_pair_loop(system, inter_n, monkeypatch):
         with monkeypatch.context() as m:
             m.setitem(cli._HANDLERS, "holonomy", reference_run_holonomy)
             assert emit(run(cfg), "json") == batched
+
+
+def per_point_samples(mu, rng, count, core_length, start=None):
+    """`count` points drawn one at a time: a word, then its closure, as
+    sample_point drew them before points were built in batches."""
+    offset = core_length // 2 if start is None else -start
+    return [close_word(mu.support, sample_word(mu, rng, core_length), offset)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind", ["reconstruct", "example-unipotent", "blocks"])
+def test_sampled_reports_equal_per_point_draws(kind, monkeypatch):
+    # a report whose points come from one batch is the report of a loop that
+    # draws and closes one point at a time.  These reports read the same at
+    # every seed, so the points each run drew are compared too.
+    seen = []
+    for seed in (0, 13, 77, 2242528604):
+        cfg = load(kind)
+        cfg["experiment"]["seed"] = seed
+        reports, draws = [], []
+        for sampler in (sample_points, per_point_samples):
+            def recorded(*args, sampler=sampler):
+                draws.append(sampler(*args))
+                return draws[-1]
+            with monkeypatch.context() as m:
+                m.setattr(cli, "sample_points", recorded)
+                reports.append(emit(run(copy.deepcopy(cfg)), "json"))
+        assert reports[0] == reports[1], seed
+        assert len(draws) == 2 and draws[0] == draws[1], seed
+        seen.append(draws[0])
+    assert all(a != b for a, b in zip(seen, seen[1:]))

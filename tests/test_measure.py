@@ -8,6 +8,7 @@ from cocyclib.measure import (
     cylinder_measure,
     golden_mean_markov,
     sample_point,
+    sample_points,
     sample_stable_partner,
     sample_unstable_partner,
     sample_word,
@@ -15,6 +16,9 @@ from cocyclib.measure import (
     uniform_bernoulli,
 )
 from cocyclib.sft import (
+    _check_cores,
+    _check_futures,
+    _check_pasts,
     admissible_words,
     close_word,
     full_shift,
@@ -52,6 +56,14 @@ def test_cylinder_examples(mu2, mu_golden):
         assert cylinder_measure(mu_golden, 0, (i,)) == pytest.approx(
             mu_golden.stationary_distribution[i])
     assert cylinder_measure(mu_golden, 0, "11") == 0.0
+
+
+@pytest.mark.parametrize("word, symbol", [([-1, 0], -1), ([2], 2), ("02", 2),
+                                          ((0, 1, 5), 5)])
+def test_cylinder_rejects_symbols_out_of_range(mu_golden, word, symbol):
+    # -1 must not be read as the last symbol, nor 2 fail by IndexError
+    with pytest.raises(ValueError, match=rf"symbol {symbol} out of range \[0, 2\)"):
+        cylinder_measure(mu_golden, 0, word)
 
 
 def test_kolmogorov_consistency(mu_golden):
@@ -189,9 +201,10 @@ def ref_sample_word(mu, rng, length):
     return tuple(out)
 
 
-def ref_sample_point(mu, rng, core_length):
+def ref_sample_point(mu, rng, core_length, start=None):
     w = ref_sample_word(mu, rng, core_length)
-    return close_word(mu.support, w, origin_offset=core_length // 2)
+    offset = core_length // 2 if start is None else -start
+    return close_word(mu.support, w, origin_offset=offset)
 
 
 def ref_stable_partner(mu, x, rng, past_length=6, keep_depth=0):
@@ -251,20 +264,34 @@ def test_samplers_match_rng_choice(name):
                  ref_stable_partner(mu, x, ref, keep_depth=keep))
             same(sample_unstable_partner(mu, x, new, keep_depth=keep),
                  ref_unstable_partner(mu, x, ref, keep_depth=keep))
+        # a batch is the per-call loop: count 1 or 7, core lengths 1-9,
+        # default and explicit starts
+        count, start = (1, 7)[seed % 2], (None, seed % 7 - 4)[seed // 2 % 2]
+        same(sample_points(mu, new, count, core, start),
+             [ref_sample_point(mu, ref, core, start) for _ in range(count)])
+    for core in range(1, 10):
+        new, ref = np.random.default_rng(core), np.random.default_rng(core)
+        start = None if core % 2 else -core
+        assert sample_points(mu, new, 500, core, start) == \
+            [ref_sample_point(mu, ref, core, start) for _ in range(500)], (name, core)
+        assert new.bit_generator.state == ref.bit_generator.state, (name, core)
 
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _generator_first_draw(u):
+def _generator_first_draw(u, before=0, hi=0x0123456789ABCDEF):
     """A PCG64 generator whose next rng.random() is exactly u (a multiple of
     2**-53 in [0, 1)): the state before a step that lands on an output word
-    whose top 53 bits are u * 2**53."""
-    inc, hi = 0xB0A7C1E5D2F3A4B7, 0x0123456789ABCDEF
+    whose top 53 bits are u * 2**53.  With `before` > 0 that draw comes
+    after `before` others, which depend on `hi`."""
+    inc = 0xB0A7C1E5D2F3A4B7
     target = int(u * 2 ** 53) << 11
     rot = hi >> 58
     lo = hi ^ (((target << rot) | (target >> (64 - rot))) & (2 ** 64 - 1))
-    state = (((hi << 64) | lo) - inc) * pow(_PCG_MULT, -1, 2 ** 128) % 2 ** 128
+    state = (hi << 64) | lo
+    for _ in range(before + 1):
+        state = (state - inc) * pow(_PCG_MULT, -1, 2 ** 128) % 2 ** 128
     bg = np.random.PCG64()
     bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                 "has_uint32": 0, "uinteger": 0}
@@ -290,10 +317,18 @@ def test_samplers_match_rng_choice_on_cdf_boundaries(name):
     # forced here
     mu = DIFFERENTIAL_MEASURES[name]()
     assert _generator_first_draw(0.75).random() == 0.75
+    assert _generator_first_draw(0.75, 3).random(4)[-1] == 0.75
     for u in _draws_at_cdf_boundaries(mu.stationary_distribution):
         new, ref = _generator_first_draw(u), _generator_first_draw(u)
         assert sample_word(mu, new, 3) == ref_sample_word(mu, ref, 3), (name, u)
         assert new.bit_generator.state == ref.bit_generator.state
+        # the first core of a batch, and the second, whose first double is
+        # the fourth draw
+        for before in (0, 3):
+            new, ref = (_generator_first_draw(u, before) for _ in range(2))
+            assert sample_points(mu, new, 7, 3) == \
+                [ref_sample_point(mu, ref, 3) for _ in range(7)], (name, u)
+            assert new.bit_generator.state == ref.bit_generator.state
     for i, row in enumerate(mu.transition_probabilities):
         x = close_word(mu.support, (i,))
         for u in _draws_at_cdf_boundaries(row):
@@ -301,3 +336,43 @@ def test_samplers_match_rng_choice_on_cdf_boundaries(name):
             got = sample_unstable_partner(mu, x, new, future_length=3)
             assert got == ref_unstable_partner(mu, x, ref, future_length=3), (name, i, u)
             assert new.bit_generator.state == ref.bit_generator.state
+            # a batch core whose first symbol is i and whose second double is u
+            hi = next(h for h in range(1, 1 << 16) if ref_sample_word(
+                mu, _generator_first_draw(u, 1, h << 48), 1) == (i,))
+            new, ref = (_generator_first_draw(u, 1, hi << 48) for _ in range(2))
+            assert sample_points(mu, new, 7, 2, start=0) == \
+                [ref_sample_point(mu, ref, 2, start=0) for _ in range(7)], (name, i, u)
+            assert new.bit_generator.state == ref.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the array checks of a batch raise what their single-point counterparts do;
+# the chain never draws such rows, so only hand-made ones reach them
+
+
+def _message(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+def test_batch_checks_raise_the_single_point_messages():
+    q = golden_mean_shift()  # 1 -> 1 is forbidden
+    x = close_word(q, (0, 1, 0), origin_offset=1)  # x_0 = 1
+    ok = np.array([[0, 1, 0], [1, 0, 0]])
+    _check_cores(q, ok)
+    _check_pasts(q, np.array([[0, 0], [1, 0]]), np.array([1, 1]))
+    _check_futures(q, np.array([1, 0]), np.array([[0, 1], [1, 0]]))
+    cases = [
+        # a core with 1 -> 1 in its second row
+        (lambda: _check_cores(q, np.array([[0, 1, 0], [0, 1, 1]])),
+         lambda: close_word(q, (0, 1, 1))),
+        # a past whose seam into x_0 = 1 is 1 -> 1
+        (lambda: _check_pasts(q, np.array([[0, 0], [0, 1]]), np.array([1, 1])),
+         lambda: splice_past(q, x, (0, 1))),
+        # a future whose seam out of x_0 = 1 is 1 -> 1
+        (lambda: _check_futures(q, np.array([1, 1]), np.array([[0, 0], [1, 0]])),
+         lambda: splice_future(q, x, (1, 0))),
+    ]
+    for batch, single in cases:
+        assert _message(batch) == _message(single)
